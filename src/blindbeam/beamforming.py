@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .channel import (
     Channel,
     NoiseModel,
     RadioParams,
-    direct_gain,
     dims,
     effective_batch,
     effective_channel,
@@ -108,9 +107,7 @@ class CsmTable:
         c = np.asarray(self.counts, dtype=np.int64)
         if m.ndim != 2 or m.shape != c.shape:
             raise ValueError("means and counts must be matching (N, K) arrays")
-        if np.any(c < 1):
-            bad = np.argwhere(c < 1)[0]
-            raise EmptyGroupError(int(bad[0]), int(bad[1]))
+        _require_every_group(c)
         totals = c.sum(axis=1)
         if np.any(totals != totals[0]):
             raise ValueError("per-element group counts must sum to the same total")
@@ -120,6 +117,47 @@ class CsmTable:
     @property
     def num_samples(self) -> int:
         return int(self.counts[0].sum())
+
+
+def _require_every_group(counts: np.ndarray):
+    if np.any(counts < 1):
+        bad = np.argwhere(counts < 1)[0]
+        raise EmptyGroupError(int(bad[0]), int(bad[1]))
+
+
+class _GroupSums:
+    """Running power sums and sample counts per (element, phase index).
+
+    Each chunk is binned by one bincount over the flat index n * K + k in
+    row-major (sample, element) order, so every group accumulates its powers
+    in sample order.
+    """
+
+    def __init__(self, num_elements: int, num_levels: int):
+        self.shape = (num_elements, num_levels)
+        self._offsets = np.arange(num_elements, dtype=np.int64) * num_levels
+        self.sums = np.zeros(num_elements * num_levels)
+        self.counts = np.zeros(num_elements * num_levels, dtype=np.int64)
+
+    def add(self, indices: np.ndarray, powers: np.ndarray):
+        """Bin a (T, N) block of phase indices with its T measured powers."""
+        flat = (indices + self._offsets).ravel()
+        size = self.counts.size
+        self.counts += np.bincount(flat, minlength=size)
+        self.sums += np.bincount(flat, weights=np.repeat(powers, indices.shape[1]),
+                                 minlength=size)
+
+    def table(self) -> CsmTable:
+        """Conditional means; an empty group raises before the division."""
+        counts = self.counts.reshape(self.shape)
+        _require_every_group(counts)
+        return CsmTable(self.sums.reshape(self.shape) / counts, counts)
+
+
+def _phase_table(grid: PhaseGrid) -> np.ndarray:
+    """exp(j * omega * k) for k = 0..K-1; lut[idx] equals
+    np.exp(1j * grid.omega * idx) bit for bit."""
+    return np.exp(1j * grid.omega * np.arange(grid.num_levels))
 
 
 @dataclass(frozen=True)
@@ -167,17 +205,9 @@ def conditional_sample_mean(batch: SampleBatch, grid: PhaseGrid) -> CsmTable:
     k = grid.num_levels
     if batch.indices.max() >= k:
         raise ValueError("sample indices exceed the grid size")
-    n = batch.num_elements
-    sums = np.empty((n, k))
-    counts = np.empty((n, k), dtype=np.int64)
-    for col in range(n):
-        idx = batch.indices[:, col]
-        counts[col] = np.bincount(idx, minlength=k)
-        sums[col] = np.bincount(idx, weights=batch.powers, minlength=k)
-    if np.any(counts == 0):
-        bad = np.argwhere(counts == 0)[0]
-        raise EmptyGroupError(int(bad[0]), int(bad[1]))
-    return CsmTable(sums / counts, counts)
+    groups = _GroupSums(batch.num_elements, k)
+    groups.add(batch.indices, batch.powers)
+    return groups.table()
 
 
 def csm_decide(table: CsmTable, rel_tol: float = 1e-9) -> np.ndarray:
@@ -273,9 +303,8 @@ def sequential_csm(channel: Channel, grids, samples_per_surface,
     for ell in range(L):
         grid = grids[ell]
         c0, c = stage_coefficients(channel, phases, ell)
-        k = grid.num_levels
-        sums = np.zeros((n, k))
-        counts = np.zeros((n, k), dtype=np.int64)
+        lut = _phase_table(grid)
+        groups = _GroupSums(n, grid.num_levels)
         kept_idx = [] if trace else None
         kept_pow = [] if trace else None
         remaining = ts[ell]
@@ -283,21 +312,15 @@ def sequential_csm(channel: Channel, grids, samples_per_surface,
             t = min(remaining, _CHUNK)
             remaining -= t
             idx = generate_samples(n, grid, t, rng)
-            g = c0 + np.exp(1j * grid.omega * idx) @ c
+            g = c0 + lut[idx] @ c
             powers = received_power(g, params, noise, rng)
             powers = np.atleast_1d(np.asarray(powers, dtype=np.float64))
-            for col in range(n):
-                counts[col] += np.bincount(idx[:, col], minlength=k)
-                sums[col] += np.bincount(idx[:, col], weights=powers, minlength=k)
+            groups.add(idx, powers)
             evaluations += t
             if trace:
                 kept_idx.append(idx)
                 kept_pow.append(powers)
-        if np.any(counts == 0):
-            bad = np.argwhere(counts == 0)[0]
-            raise EmptyGroupError(int(bad[0]), int(bad[1]))
-        table = CsmTable(sums / counts, counts)
-        phases = phases.with_stage(ell, csm_decide(table))
+        phases = phases.with_stage(ell, csm_decide(groups.table()))
         stage_powers.append(received_power(effective_channel(channel, phases), params))
         ratios.append(_stage_diagnostic(c0, c))
         if trace:
@@ -343,7 +366,7 @@ def exact_csm_small(channel: Channel, grids, factors=None) -> BeamformingResult:
         # decode 0..K^N-1 into mixed-radix index rows, most significant first
         codes = np.arange(total)
         idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
-        g = c0 + np.exp(1j * grid.omega * idx) @ c
+        g = c0 + _phase_table(grid)[idx] @ c
         powers = received_power(g, params)
         table = conditional_sample_mean(SampleBatch(idx, powers), grid)
         phases = phases.with_stage(ell, csm_decide(table))
@@ -463,10 +486,8 @@ def virtual_single_irs(channel: Channel, grids, total_samples: int,
         raise ValueError("need at least one sample")
     if rng is None:
         rng = np.random.default_rng(0)
-    k = grid.num_levels
     wide = L * n
-    sums = np.zeros((wide, k))
-    counts = np.zeros((wide, k), dtype=np.int64)
+    groups = _GroupSums(wide, grid.num_levels)
     remaining = total_samples
     while remaining > 0:
         t = min(remaining, _CHUNK)
@@ -476,13 +497,8 @@ def virtual_single_irs(channel: Channel, grids, total_samples: int,
         g = effective_batch(channel, grids, draws)
         powers = np.atleast_1d(np.asarray(
             received_power(g, params, noise, rng), dtype=np.float64))
-        for col in range(wide):
-            counts[col] += np.bincount(idx[:, col], minlength=k)
-            sums[col] += np.bincount(idx[:, col], weights=powers, minlength=k)
-    if np.any(counts == 0):
-        bad = np.argwhere(counts == 0)[0]
-        raise EmptyGroupError(int(bad[0]), int(bad[1]))
-    decisions = csm_decide(CsmTable(sums / counts, counts))
+        groups.add(idx, powers)
+    decisions = csm_decide(groups.table())
     assignment = PhaseAssignment(
         grids, tuple(decisions[ell * n:(ell + 1) * n] for ell in range(L)))
     final = received_power(effective_channel(channel, assignment), params)

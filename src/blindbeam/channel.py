@@ -370,25 +370,23 @@ def expand_links_to_tensor(graph: LinkChannelGraph) -> CascadedChannelTensor:
             f"expanding would create {(n + 1) ** L} entries, above the "
             f"{MAX_TENSOR_ENTRIES} cap"
         )
-    shape = (n + 1,) * L
-    out = np.empty(shape, dtype=np.complex128)
-    for idx in np.ndindex(shape):
-        stops = [(ell, k) for ell, k in enumerate(idx) if k > 0]
-        if not stops:
-            out[idx] = graph.tx_to_rx
+    out = np.zeros((n + 1,) * L, dtype=np.complex128)
+    out[(0,) * L] = graph.tx_to_rx
+    # One block per nonempty surface subset p_1 < ... < p_r: the view
+    # out[1:] on the subset's axes and out[0] on the others, filled in place
+    # with the broadcast chain tx[p_1] * hop(p_1, p_2) * ... * rx[p_r],
+    # multiplied in path order.  A subset with an absent hop stays zero.
+    for subset in range(1, 2**L):
+        stops = [ell for ell in range(L) if subset >> ell & 1]
+        hops = [graph.irs_to_irs.get(pair) for pair in zip(stops, stops[1:])]
+        if any(hop is None for hop in hops):
             continue
-        first_ell, first_k = stops[0]
-        amp = graph.tx_to_irs[first_ell][first_k - 1]
-        for (i, m), (j, k) in zip(stops, stops[1:]):
-            hop = graph.irs_to_irs.get((i, j))
-            if hop is None:
-                amp = 0.0 + 0.0j
-                break
-            amp = amp * hop[m - 1, k - 1]
-        else:
-            last_ell, last_k = stops[-1]
-            amp = amp * graph.irs_to_rx[last_ell][last_k - 1]
-        out[idx] = amp
+        r = len(stops)
+        block = out[tuple(slice(1, None) if ell in stops else 0 for ell in range(L))]
+        block[...] = graph.tx_to_irs[stops[0]].reshape((n,) + (1,) * (r - 1))
+        for axis, hop in enumerate(hops):
+            block *= hop.reshape((1,) * axis + (n, n) + (1,) * (r - axis - 2))
+        block *= graph.irs_to_rx[stops[-1]]
     return CascadedChannelTensor(out)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a runner's built-in assertions fail (example
 decisions or growth out of tolerance, deviation bound violated), 2 on
-configuration errors.
+configuration errors, including a sample count too small to fill every
+(element, phase index) group.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .beamforming import EmptyGroupError
 from .config import ConfigError, ExperimentConfig
 from .experiments import RUNNERS, write_csv, write_json
 
@@ -116,7 +118,7 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.merge(args.config, _overrides(args))
         result = RUNNERS[args.command](config)
-    except ConfigError as e:
+    except (ConfigError, EmptyGroupError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     if args.out:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import CascadedChannelTensor, Channel, dims
-from .phases import PhaseAssignment, PhaseGrid, as_grids, wrap_angle
+from .phases import PhaseAssignment, as_grids, wrap_angle
 
 DEFAULT_TOL = 1e-8
 DEFAULT_GAMMA_POINTS = 10**4
@@ -230,14 +230,21 @@ class IndexSetSpec:
             yield tup
 
 
+def _leakage_sums(magnitudes: np.ndarray, surface: int) -> np.ndarray:
+    """sum |h| over the "some_skip" set of every element of `surface`, given
+    magnitudes = |h|: the through-slice totals minus the all-active ones, one
+    axis-sum each.  Entry m-1 belongs to element m."""
+    others = tuple(i for i in range(magnitudes.ndim) if i != surface)
+    through = magnitudes.sum(axis=others)[1:]
+    active = magnitudes[(slice(1, None),) * magnitudes.ndim].sum(axis=others)
+    return through - active
+
+
 def leakage_abs_sum(tensor: CascadedChannelTensor, surface: int, element: int) -> float:
-    """sum |h| over the "some_skip" set of (surface, element), computed as the
-    through-slice total minus the all-active restriction."""
-    a = np.abs(tensor.entries)
-    sub = np.take(a, element, axis=surface)
-    full = float(sub.sum())
-    active = float(sub[(slice(1, None),) * sub.ndim].sum()) if sub.ndim else float(sub)
-    return full - active
+    """sum |h| over the "some_skip" set of (surface, element)."""
+    if not (0 <= surface < tensor.num_surfaces and 1 <= element <= tensor.num_elements):
+        raise ValueError("surface or element index out of range")
+    return float(_leakage_sums(np.abs(tensor.entries), surface)[element - 1])
 
 
 @dataclass(frozen=True)
@@ -403,12 +410,13 @@ def _d3_scan(tensor: CascadedChannelTensor, factors: RankOneFactors, grids,
     rounded mass, hence the per-factor grid penalty pi/K_i.
     """
     L = tensor.num_surfaces
-    n = tensor.num_elements
     ks = np.array([g.num_levels for g in grids], dtype=float)
     budget = 0.5 - float(np.sum(1.0 / ks[: L - 1]))
     gamma_upper = (math.pi / (L - 1)) * budget
-    leak = np.array([[leakage_abs_sum(tensor, ell, m) for m in range(1, n + 1)]
-                     for ell in range(L - 1)])
+    mags = np.abs(tensor.entries)
+    leak = np.array([_leakage_sums(mags, ell) for ell in range(L - 1)])
+    scale = max(1.0, float(mags.max()))
+    del mags  # free |h| before the (gamma, N) scan temporaries
     gains = np.array([np.abs(v) for v in factors.vectors])  # (L, N)
     coherent = factors.coherent_sums()
     absolute = factors.absolute_sums()
@@ -423,7 +431,6 @@ def _d3_scan(tensor: CascadedChannelTensor, factors: RankOneFactors, grids,
             earlier = earlier * absolute[i] * np.cos(gammas + math.pi / ks[i])
         rhs = (np.sin(gammas) * later * earlier)[:, None] * gains[ell][None, :]
         slack = np.minimum(slack, (rhs - leak[ell][None, :]).min(axis=1))
-    scale = max(1.0, float(np.abs(tensor.entries).max()))
     ok = slack >= -_SLACK * scale
     if not np.any(ok):
         return False, None, gamma_upper, float(slack.max())

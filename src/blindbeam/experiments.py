@@ -30,7 +30,6 @@ from .beamforming import (
     zero_phase_baseline,
 )
 from .channel import (
-    NOISELESS,
     RadioParams,
     expand_links_to_tensor,
     parse_noise_model,
@@ -39,7 +38,7 @@ from .channel import (
 from .conditions import check_c_conditions, check_cprime, check_d_conditions, lemma1_verify
 from .config import ConfigError, ExperimentConfig, parse_config_file, parse_t_rule
 from .fixtures import build_example, make_d_instance
-from .phases import PhaseGrid, as_grids
+from .phases import as_grids
 from .scenario import (
     AngleTable,
     Geometry,
@@ -554,7 +553,7 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     if trials < 1 or not etas:
         raise ConfigError("trials and eta_sweep must be nonempty and positive")
     grids = as_grids(levels if len(levels) > 1 else levels[0], L)
-    grids2 = as_grids(levels[0] if len(levels) == 1 else levels[0], 2)
+    grids2 = as_grids(levels[0], 2)
 
     def one_case(key) -> list:
         eta_idx, trial = key
@@ -600,7 +599,6 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     per_case = _map_ordered(one_case, keys, threads)
     records = [r for chunk in per_case for r in chunk]
     report = []
-    summary = []
     for eta_idx, eta in enumerate(etas):
         exp_name = f"conditions:eta={eta:g}"
         for name in CONDITION_SETS:

@@ -22,7 +22,6 @@ from .conditions import (
     ConditionReport,
     RankOneFactors,
     check_d_conditions,
-    leakage_abs_sum,
 )
 from .phases import PhaseGrid, as_grids
 

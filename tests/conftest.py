@@ -26,6 +26,31 @@ def brute_force_gain(tensor: CascadedChannelTensor, phases: PhaseAssignment) -> 
     return complex(total)
 
 
+def expand_links_oracle(graph: LinkChannelGraph) -> np.ndarray:
+    """Per-entry path products of a link graph, one index tuple at a time."""
+    L, n = graph.num_surfaces, graph.num_elements
+    shape = (n + 1,) * L
+    out = np.empty(shape, dtype=np.complex128)
+    for idx in np.ndindex(shape):
+        stops = [(ell, k) for ell, k in enumerate(idx) if k > 0]
+        if not stops:
+            out[idx] = graph.tx_to_rx
+            continue
+        first_ell, first_k = stops[0]
+        amp = graph.tx_to_irs[first_ell][first_k - 1]
+        for (i, m), (j, k) in zip(stops, stops[1:]):
+            hop = graph.irs_to_irs.get((i, j))
+            if hop is None:
+                amp = 0.0 + 0.0j
+                break
+            amp = amp * hop[m - 1, k - 1]
+        else:
+            last_ell, last_k = stops[-1]
+            amp = amp * graph.irs_to_rx[last_ell][last_k - 1]
+        out[idx] = amp
+    return out
+
+
 def random_tensor(rng, num_surfaces: int, num_elements: int) -> CascadedChannelTensor:
     shape = (num_elements + 1,) * num_surfaces
     entries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

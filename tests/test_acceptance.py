@@ -200,9 +200,9 @@ def test_criterion_08_blind_decisions_match_oracle_at_stated_budget():
         f"pools only 1000/4 = 250 samples, and with 100 elements per surface "
         f"the other 99 elements contribute sampling noise whose standard "
         f"error is larger than the per-element conditional-mean gap, so "
-        f"per-element agreement saturates near this level; raising the "
-        f"budget to roughly 5000+ samples per surface pushes agreement past "
-        f"0.90, but the criterion pins 1000"
+        f"per-element agreement saturates near this level; the median "
+        f"reaches 0.818 at 5,000 samples per surface, 0.890 at 20,000 and "
+        f"0.927 at 50,000, but the criterion pins 1000"
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,19 @@ class TestCli:
         rc = main(["scaling", "--t-rule", "sideways:3", "--n-sweep", "4,6,8"])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_empty_csm_group_exits_two(self, tmp_path, capsys):
+        # two probes cannot fill the 4 phase bins of any element
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["compare", "--t-rule", "fixed:2", "--trials", "1",
+                       "--methods", "csm", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no samples hit element")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_runner_failure_exits_one(self, capsys):
         rc = main(["examples", "--n-sweep", "3,5", "--growth-rel-tol", "1e-9"])

@@ -1,0 +1,144 @@
+"""Property tests for the array kernels against per-entry reference oracles:
+tensor expansion, CSM grouping, the phase lookup table and the leakage sums."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blindbeam import (
+    CascadedChannelTensor,
+    EmptyGroupError,
+    LinkChannelGraph,
+    PhaseGrid,
+    SampleBatch,
+    conditional_sample_mean,
+    expand_links_to_tensor,
+)
+from blindbeam.beamforming import _GroupSums, _phase_table
+from blindbeam.conditions import IndexSetSpec, _leakage_sums, leakage_abs_sum
+from conftest import expand_links_oracle
+
+kernel_settings = settings(deadline=None, max_examples=60)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@st.composite
+def link_graphs(draw):
+    """Link graphs with L in {1, 2, 3}; every hop and every tx/rx vector may
+    be absent, and some link entries are exactly zero."""
+    L = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(seeds))
+
+    def link(shape):
+        if draw(st.integers(0, 3)) == 0:
+            return np.zeros(shape, dtype=complex)
+        return _complex(rng, shape) * (rng.random(shape) < 0.8)
+
+    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return LinkChannelGraph(
+        tuple(link(n) for _ in range(L)),
+        tuple(link(n) for _ in range(L)),
+        {pair: link((n, n)) for pair, keep in zip(pairs, present) if keep},
+        complex(*rng.standard_normal(2)),
+    )
+
+
+@kernel_settings
+@given(link_graphs())
+def test_expansion_matches_per_entry_oracle(graph):
+    got = expand_links_to_tensor(graph).entries
+    want = expand_links_oracle(graph)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _naive_grouping(chunks, num_elements, num_levels):
+    """Per-column, per-bin Python sums; each chunk's partial sums are added
+    to the running totals, as the chunked accumulator does."""
+    sums = np.zeros((num_elements, num_levels))
+    counts = np.zeros((num_elements, num_levels), dtype=np.int64)
+    for idx, powers in chunks:
+        for col in range(num_elements):
+            for k in range(num_levels):
+                partial = 0.0
+                for t in range(idx.shape[0]):
+                    if idx[t, col] == k:
+                        partial += powers[t]
+                        counts[col, k] += 1
+                sums[col, k] += partial
+    return sums, counts
+
+
+@kernel_settings
+@given(st.integers(1, 6), st.integers(2, 5), st.lists(st.integers(1, 40), min_size=1,
+                                                     max_size=3), seeds)
+def test_flat_bincount_matches_naive_grouping(n, k, chunk_sizes, seed):
+    rng = np.random.default_rng(seed)
+    chunks = [(rng.integers(0, k, size=(t, n)), rng.random(t) * 10.0 ** rng.integers(-3, 4))
+              for t in chunk_sizes]
+    groups = _GroupSums(n, k)
+    for idx, powers in chunks:
+        groups.add(idx, powers)
+    sums, counts = _naive_grouping(chunks, n, k)
+    assert np.array_equal(groups.counts.reshape(n, k), counts)
+    assert np.array_equal(groups.sums.reshape(n, k), sums)
+
+
+@kernel_settings
+@given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 60), seeds)
+def test_conditional_sample_mean_matches_naive_means(n, k, t, seed):
+    rng = np.random.default_rng(seed)
+    batch = SampleBatch(rng.integers(0, k, size=(t, n)), rng.random(t))
+    sums, counts = _naive_grouping([(batch.indices, batch.powers)], n, k)
+    if np.any(counts == 0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyGroupError):
+                conditional_sample_mean(batch, PhaseGrid(k))
+        return
+    table = conditional_sample_mean(batch, PhaseGrid(k))
+    assert np.array_equal(table.counts, counts)
+    assert np.array_equal(table.means, sums / counts)
+
+
+@kernel_settings
+@given(st.integers(2, 64), st.integers(1, 50), st.integers(1, 8), seeds)
+def test_phase_table_is_bit_identical_to_exp(k, t, n, seed):
+    grid = PhaseGrid(k)
+    idx = np.random.default_rng(seed).integers(0, k, size=(t, n))
+    got = _phase_table(grid)[idx]
+    want = np.exp(1j * grid.omega * idx)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@kernel_settings
+@given(st.integers(1, 3), st.integers(1, 4), seeds)
+def test_leakage_sums_match_index_set_oracle(L, n, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n + 1,) * L
+    t = CascadedChannelTensor(_complex(rng, shape) * (rng.random(shape) < 0.7))
+    mags = np.abs(t.entries)
+    atol = 1e-12 * mags.sum()
+    for surface in range(L):
+        got = _leakage_sums(mags, surface)
+        want = [sum(mags[tup] for tup in
+                    IndexSetSpec(surface, m, "some_skip").tuples(L, n))
+                for m in range(1, n + 1)]
+        assert np.allclose(got, want, rtol=1e-12, atol=atol)
+        assert [leakage_abs_sum(t, surface, m) for m in range(1, n + 1)] == got.tolist()
+
+
+def test_leakage_abs_sum_rejects_out_of_range_indices():
+    t = CascadedChannelTensor(np.ones((3, 3)))
+    for surface, element in ((2, 1), (-1, 1), (0, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            leakage_abs_sum(t, surface, element)
