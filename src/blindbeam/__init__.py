@@ -39,8 +39,6 @@ from .channel import (
     direct_gain,
     dims,
     effective_channel,
-    eval_effective_chain,
-    eval_effective_dense,
     expand_links_to_tensor,
     load_channel,
     parse_noise_model,

@@ -169,8 +169,6 @@ class BeamformingResult:
     diagnostic trace and is not guaranteed to be monotone.  reflect_to_direct
     is, per stage, the mean reflected power share (1/N) * sum |c_n|^2 / |c0|^2
     when the stage had a nonzero skip-path aggregate c0, else None.
-    element_gains[ell] = mean |reflection coefficient| of the surface when
-    rank-one factors were supplied, else None.
     """
 
     method: str
@@ -178,7 +176,6 @@ class BeamformingResult:
     stage_powers: tuple[float, ...]
     evaluations: int
     reflect_to_direct: Optional[tuple] = None
-    element_gains: Optional[tuple] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,8 +185,6 @@ class BeamformingResult:
             "evaluations": self.evaluations,
             "reflect_to_direct": None if self.reflect_to_direct is None
             else list(self.reflect_to_direct),
-            "element_gains": None if self.element_gains is None
-            else list(self.element_gains),
         }
 
 
@@ -254,12 +249,6 @@ def _stage_diagnostic(c0: complex, c: np.ndarray) -> Optional[float]:
     return float(np.mean(np.abs(c) ** 2) / abs(c0) ** 2)
 
 
-def _element_gains(factors) -> Optional[tuple]:
-    if factors is None:
-        return None
-    return tuple(float(np.mean(np.abs(u))) for u in factors.vectors)
-
-
 def _normalize_t(samples_per_surface, num_surfaces: int) -> list[int]:
     if isinstance(samples_per_surface, (int, np.integer)):
         ts = [int(samples_per_surface)] * num_surfaces
@@ -272,9 +261,41 @@ def _normalize_t(samples_per_surface, num_surfaces: int) -> list[int]:
     return ts
 
 
+def _sequential(method: str, channel: Channel, grids, params: RadioParams,
+                decide) -> BeamformingResult:
+    """Configure the surfaces one at a time, in increasing index order.
+
+    Stage ell holds the earlier surfaces at their decisions and the later
+    ones at phase index 0, computes the stage coefficients (c0, c) of
+    surface ell, and applies decide(ell, grid, c0, c) -> (indices,
+    measurements), which returns the surface's phase indices and the number
+    of power measurements it took.
+    """
+    L, n = dims(channel)
+    grids = as_grids(grids, L)
+    phases = PhaseAssignment.zeros(grids, n)
+    stage_powers = []
+    ratios = []
+    evaluations = 0
+    for ell in range(L):
+        c0, c = stage_coefficients(channel, phases, ell)
+        indices, measurements = decide(ell, grids[ell], c0, c)
+        phases = phases.with_stage(ell, indices)
+        evaluations += measurements
+        stage_powers.append(received_power(effective_channel(channel, phases), params))
+        ratios.append(_stage_diagnostic(c0, c))
+    return BeamformingResult(
+        method=method,
+        assignment=phases,
+        stage_powers=tuple(stage_powers),
+        evaluations=evaluations,
+        reflect_to_direct=tuple(ratios),
+    )
+
+
 def sequential_csm(channel: Channel, grids, samples_per_surface,
                    params: RadioParams, noise: NoiseModel = NOISELESS,
-                   rng=None, factors=None, trace: bool = False):
+                   rng=None) -> BeamformingResult:
     """Blind sequential optimizer: one conditional-sample-mean pass per surface.
 
     Surfaces are processed in increasing index order; earlier decisions stay
@@ -282,63 +303,27 @@ def sequential_csm(channel: Channel, grids, samples_per_surface,
     samples_per_surface probes uniformly, measures received power under the
     configured noise model, and keeps the per-element argmax of the
     conditional means.  Exactly sum(samples_per_surface) power measurements
-    are taken.
-
-    With trace=True the returned tuple is (result, batches) where batches[ell]
-    is the full SampleBatch of stage ell; otherwise measurements are processed
-    in chunks and never materialized whole.
+    are taken, processed in chunks and never materialized whole.
     """
     L, n = dims(channel)
-    grids = as_grids(grids, L)
     ts = _normalize_t(samples_per_surface, L)
     if rng is None and noise.kind != "noiseless":
         raise ValueError("noisy measurement needs an rng")
     if rng is None:
         rng = np.random.default_rng(0)
-    phases = PhaseAssignment.zeros(grids, n)
-    stage_powers = []
-    ratios = []
-    evaluations = 0
-    batches = [] if trace else None
-    for ell in range(L):
-        grid = grids[ell]
-        c0, c = stage_coefficients(channel, phases, ell)
+
+    def decide(ell, grid, c0, c):
         lut = _phase_table(grid)
         groups = _GroupSums(n, grid.num_levels)
-        kept_idx = [] if trace else None
-        kept_pow = [] if trace else None
-        remaining = ts[ell]
-        while remaining > 0:
-            t = min(remaining, _CHUNK)
-            remaining -= t
-            idx = generate_samples(n, grid, t, rng)
-            g = c0 + lut[idx] @ c
-            powers = received_power(g, params, noise, rng)
-            powers = np.atleast_1d(np.asarray(powers, dtype=np.float64))
-            groups.add(idx, powers)
-            evaluations += t
-            if trace:
-                kept_idx.append(idx)
-                kept_pow.append(powers)
-        phases = phases.with_stage(ell, csm_decide(groups.table()))
-        stage_powers.append(received_power(effective_channel(channel, phases), params))
-        ratios.append(_stage_diagnostic(c0, c))
-        if trace:
-            batches.append(SampleBatch(np.concatenate(kept_idx), np.concatenate(kept_pow)))
-    result = BeamformingResult(
-        method="csm",
-        assignment=phases,
-        stage_powers=tuple(stage_powers),
-        evaluations=evaluations,
-        reflect_to_direct=tuple(ratios),
-        element_gains=_element_gains(factors),
-    )
-    if trace:
-        return result, batches
-    return result
+        for start in range(0, ts[ell], _CHUNK):
+            idx = generate_samples(n, grid, min(_CHUNK, ts[ell] - start), rng)
+            groups.add(idx, received_power(c0 + lut[idx] @ c, params, noise, rng))
+        return csm_decide(groups.table()), ts[ell]
+
+    return _sequential("csm", channel, grids, params, decide)
 
 
-def exact_csm_small(channel: Channel, grids, factors=None) -> BeamformingResult:
+def exact_csm_small(channel: Channel, grids) -> BeamformingResult:
     """Sequential optimizer using exact conditional means.
 
     Each stage enumerates every joint phase configuration of its surface
@@ -346,15 +331,10 @@ def exact_csm_small(channel: Channel, grids, factors=None) -> BeamformingResult:
     and applies the same per-element argmax as the sampled scheme.  Decisions
     are invariant to the power scale.
     """
-    L, n = dims(channel)
-    grids = as_grids(grids, L)
+    n = dims(channel)[1]
     params = RadioParams(transmit_power_w=1.0)
-    phases = PhaseAssignment.zeros(grids, n)
-    stage_powers = []
-    ratios = []
-    evaluations = 0
-    for ell in range(L):
-        grid = grids[ell]
+
+    def decide(ell, grid, c0, c):
         k = grid.num_levels
         total = k**n
         if total > MAX_EXACT_CONFIGS:
@@ -362,29 +342,17 @@ def exact_csm_small(channel: Channel, grids, factors=None) -> BeamformingResult:
                 f"exact enumeration needs {total} configurations for surface "
                 f"{ell + 1}, above the {MAX_EXACT_CONFIGS} cap"
             )
-        c0, c = stage_coefficients(channel, phases, ell)
         # decode 0..K^N-1 into mixed-radix index rows, most significant first
         codes = np.arange(total)
         idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
-        g = c0 + _phase_table(grid)[idx] @ c
-        powers = received_power(g, params)
-        table = conditional_sample_mean(SampleBatch(idx, powers), grid)
-        phases = phases.with_stage(ell, csm_decide(table))
-        evaluations += total
-        stage_powers.append(received_power(effective_channel(channel, phases), params))
-        ratios.append(_stage_diagnostic(c0, c))
-    return BeamformingResult(
-        method="exact_csm",
-        assignment=phases,
-        stage_powers=tuple(stage_powers),
-        evaluations=evaluations,
-        reflect_to_direct=tuple(ratios),
-        element_gains=_element_gains(factors),
-    )
+        powers = received_power(c0 + _phase_table(grid)[idx] @ c, params)
+        return csm_decide(conditional_sample_mean(SampleBatch(idx, powers), grid)), total
+
+    return _sequential("exact_csm", channel, grids, params, decide)
 
 
-def sequential_cpp_oracle(channel: Channel, grids, params: Optional[RadioParams] = None,
-                          factors=None) -> BeamformingResult:
+def sequential_cpp_oracle(channel: Channel, grids,
+                          params: Optional[RadioParams] = None) -> BeamformingResult:
     """Perfect-knowledge reference: per stage, project the ideal aligning
     phase of every element onto the grid.
 
@@ -392,25 +360,8 @@ def sequential_cpp_oracle(channel: Channel, grids, params: Optional[RadioParams]
     element n at stage ell is angle(c0) - angle(c_n) with the current earlier
     decisions applied; elements with a zero path coefficient stay at index 0.
     """
-    L, n = dims(channel)
-    grids = as_grids(grids, L)
-    params = params or RadioParams()
-    phases = PhaseAssignment.zeros(grids, n)
-    stage_powers = []
-    ratios = []
-    for ell in range(L):
-        c0, c = stage_coefficients(channel, phases, ell)
-        phases = phases.with_stage(ell, _cpp_decide_vector(c0, c, grids[ell]))
-        stage_powers.append(received_power(effective_channel(channel, phases), params))
-        ratios.append(_stage_diagnostic(c0, c))
-    return BeamformingResult(
-        method="cpp",
-        assignment=phases,
-        stage_powers=tuple(stage_powers),
-        evaluations=0,
-        reflect_to_direct=tuple(ratios),
-        element_gains=_element_gains(factors),
-    )
+    return _sequential("cpp", channel, grids, params or RadioParams(),
+                       lambda ell, grid, c0, c: (_cpp_decide_vector(c0, c, grid), 0))
 
 
 def random_beamforming(channel: Channel, grids, budget: int,
@@ -431,9 +382,7 @@ def random_beamforming(channel: Channel, grids, budget: int,
         b = min(budget - done, _CHUNK)
         done += b
         draws = [generate_samples(n, grids[ell], b, rng) for ell in range(L)]
-        g = effective_batch(channel, grids, draws)
-        powers = np.atleast_1d(np.asarray(
-            received_power(g, params, noise, rng), dtype=np.float64))
+        powers = received_power(effective_batch(channel, grids, draws), params, noise, rng)
         top = int(np.argmax(powers))
         if powers[top] > best_power:
             best_power = float(powers[top])
@@ -494,9 +443,7 @@ def virtual_single_irs(channel: Channel, grids, total_samples: int,
         remaining -= t
         idx = generate_samples(wide, grid, t, rng)
         draws = [idx[:, ell * n:(ell + 1) * n] for ell in range(L)]
-        g = effective_batch(channel, grids, draws)
-        powers = np.atleast_1d(np.asarray(
-            received_power(g, params, noise, rng), dtype=np.float64))
+        powers = received_power(effective_batch(channel, grids, draws), params, noise, rng)
         groups.add(idx, powers)
     decisions = csm_decide(groups.table())
     assignment = PhaseAssignment(

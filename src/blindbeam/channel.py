@@ -220,41 +220,33 @@ def _check_assignment(channel: Channel, phases: PhaseAssignment):
         )
 
 
-def eval_effective_dense(tensor: CascadedChannelTensor, phases: PhaseAssignment) -> complex:
-    """Effective scalar channel of a dense tensor under a phase assignment."""
-    _check_assignment(tensor, phases)
-    g = tensor.entries
-    for ell in range(tensor.num_surfaces):
-        # contract axis 0 repeatedly; axis ell of the original is axis 0 now
-        g = np.tensordot(phases.factors_with_skip(ell), g, axes=(0, 0))
-    return complex(g)
+def _forward(graph: LinkChannelGraph, factors, absorbing=None):
+    """Forward pass over the surfaces in order, for B assignments at once.
 
-
-def eval_effective_chain(graph: LinkChannelGraph, phases: PhaseAssignment) -> complex:
-    """Effective scalar channel of a link graph under a phase assignment.
-
-    Forward pass over surfaces in order; w[i] is the field re-radiated by
-    surface i with its phase shifts applied.
+    factors[ell] holds the (B, N) reflection factors of surface ell.  Each
+    surface re-radiates its incoming field times its factors, except surface
+    `absorbing`, which re-radiates nothing.  Returns (g, incoming): g[b] sums
+    every path that avoids the absorbing surface, and incoming is the (B, N)
+    field arriving at the absorbing surface (None without one).
     """
-    _check_assignment(graph, phases)
-    g = complex(graph.tx_to_rx)
-    w = []
+    b, n = factors[0].shape
+    g = np.full(b, graph.tx_to_rx, dtype=np.complex128)
+    radiated = []
+    absorbed = None
     for ell in range(graph.num_surfaces):
-        incoming = graph.tx_to_irs[ell].astype(np.complex128, copy=True)
-        for i in range(ell):
+        incoming = np.broadcast_to(graph.tx_to_irs[ell], (b, n)).copy()
+        for i, w in enumerate(radiated):
             m = graph.irs_to_irs.get((i, ell))
-            if m is not None:
-                incoming += w[i] @ m
-        w_ell = phases.factors(ell) * incoming
-        w.append(w_ell)
-        g += complex(w_ell @ graph.irs_to_rx[ell])
-    return g
-
-
-def effective_channel(channel: Channel, phases: PhaseAssignment) -> complex:
-    if isinstance(channel, CascadedChannelTensor):
-        return eval_effective_dense(channel, phases)
-    return eval_effective_chain(channel, phases)
+            if m is not None and w is not None:
+                incoming += w @ m
+        if ell == absorbing:
+            absorbed = incoming
+            radiated.append(None)
+        else:
+            w = factors[ell] * incoming
+            radiated.append(w)
+            g += w @ graph.irs_to_rx[ell]
+    return g, absorbed
 
 
 def _stage_coefficients_dense(tensor, phases, ell):
@@ -270,23 +262,8 @@ def _stage_coefficients_dense(tensor, phases, ell):
 
 def _stage_coefficients_chain(graph, phases, ell):
     L = graph.num_surfaces
-    # forward pass with surface ell absorbing (its re-radiated field zeroed)
-    c0 = complex(graph.tx_to_rx)
-    w = []
-    incoming_ell = None
-    for i in range(L):
-        incoming = graph.tx_to_irs[i].astype(np.complex128, copy=True)
-        for j in range(i):
-            m = graph.irs_to_irs.get((j, i))
-            if m is not None:
-                incoming += w[j] @ m
-        if i == ell:
-            incoming_ell = incoming
-            w.append(np.zeros(graph.num_elements, dtype=np.complex128))
-        else:
-            w_i = phases.factors(i) * incoming
-            w.append(w_i)
-            c0 += complex(w_i @ graph.irs_to_rx[i])
+    rows = [phases.factors(i)[None, :] for i in range(L)]
+    g, incoming = _forward(graph, rows, absorbing=ell)
     # backward pass from the receiver through the later surfaces
     b = [None] * L
     for i in range(L - 1, ell - 1, -1):
@@ -296,7 +273,13 @@ def _stage_coefficients_chain(graph, phases, ell):
             if m is not None:
                 out += m @ (phases.factors(j) * b[j])
         b[i] = out
-    return c0, incoming_ell * b[ell]
+    return complex(g[0]), incoming[0] * b[ell]
+
+
+def _stage_coefficients(channel: Channel, phases: PhaseAssignment, ell: int):
+    if isinstance(channel, CascadedChannelTensor):
+        return _stage_coefficients_dense(channel, phases, ell)
+    return _stage_coefficients_chain(channel, phases, ell)
 
 
 def stage_coefficients(channel: Channel, phases: PhaseAssignment, ell: int):
@@ -314,9 +297,16 @@ def stage_coefficients(channel: Channel, phases: PhaseAssignment, ell: int):
     L = channel.num_surfaces
     if not (0 <= ell < L):
         raise ValueError(f"surface index {ell} out of range for L={L}")
-    if isinstance(channel, CascadedChannelTensor):
-        return _stage_coefficients_dense(channel, phases, ell)
-    return _stage_coefficients_chain(channel, phases, ell)
+    return _stage_coefficients(channel, phases, ell)
+
+
+def effective_channel(channel: Channel, phases: PhaseAssignment) -> complex:
+    """Effective scalar channel under a phase assignment: c0 + sum_n c_n *
+    exp(j * theta_n) with the stage coefficients of the last surface."""
+    _check_assignment(channel, phases)
+    last = channel.num_surfaces - 1
+    c0, c = _stage_coefficients(channel, phases, last)
+    return c0 + complex(phases.factors(last) @ c)
 
 
 def effective_batch(channel: Channel, grids, index_batches) -> np.ndarray:
@@ -341,18 +331,7 @@ def effective_batch(channel: Channel, grids, index_batches) -> np.ndarray:
             # contract the first tensor axis (axis 1 of g) against the batch
             g = np.einsum("bk,bk...->b...", skip, g)
         return np.ascontiguousarray(g)
-    out = np.full(b, complex(channel.tx_to_rx), dtype=np.complex128)
-    w = []
-    for ell in range(L):
-        incoming = np.broadcast_to(channel.tx_to_irs[ell], (b, n)).copy()
-        for i in range(ell):
-            m = channel.irs_to_irs.get((i, ell))
-            if m is not None:
-                incoming += w[i] @ m
-        w_ell = factors[ell] * incoming
-        w.append(w_ell)
-        out += w_ell @ channel.irs_to_rx[ell]
-    return out
+    return _forward(channel, factors)[0]
 
 
 def expand_links_to_tensor(graph: LinkChannelGraph) -> CascadedChannelTensor:

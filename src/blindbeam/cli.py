@@ -91,16 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse dest -> config key, for flags whose names differ
-_DEST_TO_KEY = {
-    "n_sweep": "n_sweep",
-    "t_rule": "t_rule",
-    "eta_sweep": "eta_sweep",
-    "growth_rel_tol": "growth_rel_tol",
-    "budget_per_surface": "budget_per_surface",
-    "leakage_margin": "leakage_margin",
-}
-
 _SKIP_DESTS = {"command", "config", "out", "json_out", "timing"}
 
 
@@ -109,7 +99,7 @@ def _overrides(args: argparse.Namespace) -> dict:
     for dest, value in vars(args).items():
         if dest in _SKIP_DESTS or value is None:
             continue
-        out[_DEST_TO_KEY.get(dest, dest)] = value
+        out[dest] = value
     return out
 
 

@@ -394,12 +394,17 @@ def check_cprime(tensor: CascadedChannelTensor, grids, zero_tol: float = 0.0,
     )
 
 
-def _d3_scan(tensor: CascadedChannelTensor, factors: RankOneFactors, grids,
-             gamma_points: int):
-    """Scan the margin angle range for the leakage-domination inequality.
+def margin_budget(grids) -> float:
+    """D2's resolution budget 1/2 - sum_{ell < L} 1/K_ell over the grids of
+    all L surfaces; the margin angle ranges over [0, pi/(L-1) * budget)."""
+    return 0.5 - sum(1.0 / g.num_levels for g in grids[:-1])
 
-    Returns (feasible, gamma_min, gamma_upper, best_slack).  The inequality
-    at margin gamma, for surface ell < L (0-based) and element m, is
+
+def margin_rhs(factors: RankOneFactors, grids, gammas: np.ndarray, ell: int) -> np.ndarray:
+    """Right-hand side of the margin inequality for surface ell (0-based) at
+    each margin angle gamma, divided by the element gain |u_ell[m]|.
+
+    The inequality at margin gamma, for element m of surface ell, is
 
         leakage(ell, m) <= |u_ell[m]| * sin(gamma)
                            * prod_{i > ell} |sum_n u_i[n]|
@@ -409,27 +414,34 @@ def _d3_scan(tensor: CascadedChannelTensor, factors: RankOneFactors, grids,
     when surface ell is decided) while earlier surfaces contribute their
     rounded mass, hence the per-factor grid penalty pi/K_i.
     """
+    later = float(np.prod(factors.coherent_sums()[ell + 1:]))
+    absolute = factors.absolute_sums()
+    earlier = np.ones_like(gammas)
+    for i in range(ell):
+        earlier = earlier * absolute[i] * np.cos(gammas + math.pi / grids[i].num_levels)
+    return np.sin(gammas) * later * earlier
+
+
+def _d3_scan(tensor: CascadedChannelTensor, factors: RankOneFactors, grids,
+             gamma_points: int):
+    """Scan the margin angle range for the margin inequality (margin_rhs) on
+    every surface before the last.
+
+    Returns (feasible, gamma_min, gamma_upper, best_slack).
+    """
     L = tensor.num_surfaces
-    ks = np.array([g.num_levels for g in grids], dtype=float)
-    budget = 0.5 - float(np.sum(1.0 / ks[: L - 1]))
-    gamma_upper = (math.pi / (L - 1)) * budget
+    gamma_upper = (math.pi / (L - 1)) * margin_budget(grids)
     mags = np.abs(tensor.entries)
     leak = np.array([_leakage_sums(mags, ell) for ell in range(L - 1)])
     scale = max(1.0, float(mags.max()))
     del mags  # free |h| before the (gamma, N) scan temporaries
-    gains = np.array([np.abs(v) for v in factors.vectors])  # (L, N)
-    coherent = factors.coherent_sums()
-    absolute = factors.absolute_sums()
     if gamma_upper <= 0.0:
         return False, None, gamma_upper, -math.inf
     gammas = np.linspace(0.0, gamma_upper, gamma_points, endpoint=False)
     slack = np.full(gammas.size, math.inf)
     for ell in range(L - 1):
-        later = float(np.prod(coherent[ell + 1:]))
-        earlier = np.ones_like(gammas)
-        for i in range(ell):
-            earlier = earlier * absolute[i] * np.cos(gammas + math.pi / ks[i])
-        rhs = (np.sin(gammas) * later * earlier)[:, None] * gains[ell][None, :]
+        rhs = (margin_rhs(factors, grids, gammas, ell)[:, None]
+               * np.abs(factors.vectors[ell])[None, :])
         slack = np.minimum(slack, (rhs - leak[ell][None, :]).min(axis=1))
     ok = slack >= -_SLACK * scale
     if not np.any(ok):
@@ -476,9 +488,8 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids,
                 d1 = False
                 notes.append(f"d1: factor {which + 1} has a zero entry")
                 break
-    ks = [g.num_levels for g in grids]
-    budget = 0.5 - sum(1.0 / k for k in ks[: L - 1])
-    d2 = ks[-1] >= 3 and budget > 0.0
+    budget = margin_budget(grids)
+    d2 = grids[-1].num_levels >= 3 and budget > 0.0
     if factors is not None:
         d3, gamma_min, gamma_upper, best_slack = _d3_scan(t, factors, grids, gamma_points)
     else:
@@ -493,7 +504,7 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids,
             "d1_residual": residual,
             "d1_singular_ratio": ratio,
             "d2_budget": budget,
-            "d2_last_levels": float(ks[-1] - 3),
+            "d2_last_levels": float(grids[-1].num_levels - 3),
             "d3_best_slack": best_slack,
         },
         notes=tuple(notes),

@@ -161,10 +161,24 @@ def write_json(path, config: ExperimentConfig, result: ExperimentResult):
 
 def _map_ordered(fn, keys, threads: int) -> list:
     """Run fn over keys, possibly in parallel, preserving key order."""
-    if threads <= 1 or len(keys) <= 1:
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    if threads == 1 or len(keys) <= 1:
         return [fn(k) for k in keys]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, keys))
+
+
+def _grids_for(levels, num_surfaces: int):
+    """Phase grids from one level count shared by every surface, or one per
+    surface."""
+    if len(levels) not in (1, num_surfaces):
+        raise ConfigError(
+            f"need 1 or {num_surfaces} level counts, got {len(levels)}: {levels}")
+    try:
+        return as_grids(levels if len(levels) > 1 else levels[0], num_surfaces)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def fit_loglog_slope(n_values, boosts):
@@ -236,7 +250,7 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("trials and n_sweep must be nonempty and positive")
     if min(n_list) < 1:
         raise ConfigError("n_sweep entries must be positive")
-    grids = as_grids(levels if len(levels) > 1 else levels[0], L)
+    grids = _grids_for(levels, L)
     known = {"csm", "cpp"}
     bad = set(methods) - known
     if bad:
@@ -332,7 +346,7 @@ def load_scenario(path) -> Scenario:
     if L < 1 or n < 1:
         raise ConfigError("surfaces and elements must be positive")
     levels = cfg.get_int_list("levels", "4")
-    grids = as_grids(levels if len(levels) > 1 else levels[0], L)
+    grids = _grids_for(levels, L)
     placement = cfg.get_str("placement", "explicit")
     geometry = None
     if placement == "explicit":
@@ -400,7 +414,7 @@ def realize_scenario(scenario: Scenario, seed: int, trial: int,
     Returns (graph, grids, params).  Placement, propagation, and fading each
     consume their own RNG stream so realizations are trial-independent.
     """
-    n = num_elements or scenario.num_elements
+    n = scenario.num_elements if num_elements is None else num_elements
     L = scenario.num_surfaces
     if scenario.placement == "explicit":
         geometry = scenario.geometry
@@ -439,9 +453,7 @@ def realize_scenario(scenario: Scenario, seed: int, trial: int,
         geometry, angles, prop, n,
         derive_rng(seed, trial, TAG_CHANNEL), zero_nlos=scenario.zero_nlos,
     )
-    grids = as_grids(
-        list(scenario.levels) if len(set(scenario.levels)) > 1 else scenario.levels[0], L
-    )
+    grids = _grids_for(scenario.levels, L)
     return graph, grids, scenario.params
 
 
@@ -471,6 +483,8 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     noise = parse_noise_model(config.get_str("noise", "noiseless"))
     if trials < 1:
         raise ConfigError("trials must be positive")
+    if n < 1:
+        raise ConfigError(f"elements must be positive, got {n}")
 
     def one_trial(trial: int) -> list:
         graph, grids, params = realize_scenario(scenario, seed, trial, n)
@@ -555,7 +569,7 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("the conditions study needs at least two surfaces")
     if trials < 1 or not etas:
         raise ConfigError("trials and eta_sweep must be nonempty and positive")
-    grids = as_grids(levels if len(levels) > 1 else levels[0], L)
+    grids = _grids_for(levels, L)
     grids2 = as_grids(levels[0], 2)
 
     def one_case(key) -> list:
@@ -717,7 +731,7 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     margin = config.get_float("leakage_margin", 0.5)
     if trials < 1:
         raise ConfigError("trials must be positive")
-    grids = as_grids(levels if len(levels) > 1 else levels[0], L)
+    grids = _grids_for(levels, L)
     params = RadioParams(transmit_power_w=1.0)
 
     def one_trial(trial: int) -> tuple:

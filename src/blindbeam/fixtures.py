@@ -22,6 +22,8 @@ from .conditions import (
     ConditionReport,
     RankOneFactors,
     check_d_conditions,
+    margin_budget,
+    margin_rhs,
 )
 from .phases import PhaseGrid, as_grids
 
@@ -178,23 +180,14 @@ def max_leakage_scale(num_surfaces: int, num_elements: int, grids,
     L, n = num_surfaces, num_elements
     if L == 1:
         return _SINGLE_SURFACE_CAP
-    ks = np.array([g.num_levels for g in grids], dtype=float)
-    budget = 0.5 - float(np.sum(1.0 / ks[: L - 1]))
-    gamma_upper = (math.pi / (L - 1)) * budget
+    gamma_upper = (math.pi / (L - 1)) * margin_budget(grids)
     if gamma_upper <= 0.0:
         return 0.0
     skip_count = float((n + 1) ** (L - 1) - n ** (L - 1))
-    gains = np.array([np.abs(v) for v in factors.vectors])
-    coherent = factors.coherent_sums()
-    absolute = factors.absolute_sums()
     gammas = np.linspace(0.0, gamma_upper, gamma_points, endpoint=False)[1:]
     bound = np.full(gammas.size, math.inf)
     for ell in range(L):
-        later = float(np.prod(coherent[ell + 1:]))
-        earlier = np.ones_like(gammas)
-        for i in range(ell):
-            earlier = earlier * absolute[i] * np.cos(gammas + math.pi / ks[i])
-        rhs = np.sin(gammas) * later * np.maximum(earlier, 0.0) * float(gains[ell].min())
+        rhs = margin_rhs(factors, grids, gammas, ell) * float(np.abs(factors.vectors[ell]).min())
         bound = np.minimum(bound, rhs / skip_count)
     return float(bound.max())
 
@@ -215,7 +208,7 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
         raise ValueError("need at least one surface and one element")
     grids = as_grids(grids, L)
     ks = [g.num_levels for g in grids]
-    if ks[-1] < 3 or (L >= 2 and sum(1.0 / k for k in ks[: L - 1]) >= 0.5):
+    if ks[-1] < 3 or (L >= 2 and margin_budget(grids) <= 0.0):
         raise ValueError(
             f"grids {ks} violate the resolution requirements (last grid >= 3 "
             "levels and the leading grids' 1/K budget under 1/2)"

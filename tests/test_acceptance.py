@@ -24,8 +24,7 @@ from blindbeam import (
     cpp_decide,
     default_scenario_path,
     derive_rng,
-    eval_effective_chain,
-    eval_effective_dense,
+    effective_channel,
     exact_csm_small,
     expand_links_to_tensor,
     load_scenario,
@@ -64,8 +63,8 @@ def test_criterion_01_chain_evaluator_matches_dense_tensor():
         n = int(rng.integers(1, 5))
         graph = random_graph(rng, L, n)
         phases = random_assignment(rng, as_grids(4, L), n)
-        chain = eval_effective_chain(graph, phases)
-        dense = eval_effective_dense(expand_links_to_tensor(graph), phases)
+        chain = effective_channel(graph, phases)
+        dense = effective_channel(expand_links_to_tensor(graph), phases)
         rel = abs(chain - dense) / max(1.0, abs(dense))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

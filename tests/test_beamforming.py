@@ -133,13 +133,6 @@ class TestSequentialCsm:
         res = sequential_csm(tensor, 4, [30, 70], P1, rng=rng)
         assert res.evaluations == 100
 
-    def test_trace_returns_batches(self, rng):
-        tensor = random_tensor(rng, 2, 3)
-        res, batches = sequential_csm(tensor, 4, 40, P1, rng=rng, trace=True)
-        assert len(batches) == 2
-        assert all(b.num_samples == 40 for b in batches)
-        assert res.evaluations == 80
-
     def test_converges_to_exact_with_many_samples(self, rng):
         matched = 0
         total = 0

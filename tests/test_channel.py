@@ -17,14 +17,13 @@ from blindbeam import (
     channel_to_json_dict,
     direct_gain,
     effective_channel,
-    eval_effective_chain,
-    eval_effective_dense,
     expand_links_to_tensor,
     parse_noise_model,
     received_power,
     snr_boost,
     stage_coefficients,
 )
+from blindbeam.channel import effective_batch
 from conftest import brute_force_gain, random_assignment, random_graph, random_tensor
 
 
@@ -39,21 +38,21 @@ class TestDenseEvaluator:
         t[0, 0] = 1.0
         tensor = CascadedChannelTensor(t)
         a = assign(4, 2, [[1, 3], [2, 0]])
-        assert eval_effective_dense(tensor, a) == pytest.approx(1.0)
+        assert effective_channel(tensor, a) == pytest.approx(1.0)
 
     def test_single_path_cancellation(self):
         # all-ones tensor, L=2, N=1: phases (pi, 0) pair the four paths
         # into two cancelling couples
         tensor = CascadedChannelTensor(np.ones((2, 2), dtype=complex))
         a = assign(2, 2, [[1], [0]])
-        assert abs(eval_effective_dense(tensor, a)) == pytest.approx(0.0, abs=1e-12)
+        assert abs(effective_channel(tensor, a)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force(self, rng):
         for L, n in [(1, 3), (2, 3), (3, 2)]:
             for _ in range(10):
                 tensor = random_tensor(rng, L, n)
                 a = random_assignment(rng, as_grids(4, L), n)
-                got = eval_effective_dense(tensor, a)
+                got = effective_channel(tensor, a)
                 want = brute_force_gain(tensor, a)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -61,13 +60,13 @@ class TestDenseEvaluator:
         for _ in range(20):
             tensor = random_tensor(rng, 2, 3)
             a = random_assignment(rng, as_grids(5, 2), 3)
-            g = eval_effective_dense(tensor, a)
+            g = effective_channel(tensor, a)
             assert abs(g) <= np.abs(tensor.entries).sum() + 1e-9
 
     def test_example_alignment_value(self):
         fx = build_example(1, "good", 3)
         a = PhaseAssignment(fx.grids, tuple(fx.expected_indices))
-        g = eval_effective_dense(fx.tensor, a)
+        g = effective_channel(fx.tensor, a)
         assert g == pytest.approx(9.0)          # beta * N^2
         p = received_power(g, RadioParams(transmit_power_w=1.0))
         assert p == pytest.approx(81.0)
@@ -91,7 +90,7 @@ class TestChainEvaluator:
         )
         a = PhaseAssignment.zeros(as_grids(4, 2), 1)
         # direct + 2 one-hop + 1 two-hop = 4
-        assert eval_effective_chain(g, a) == pytest.approx(4.0)
+        assert effective_channel(g, a) == pytest.approx(4.0)
 
     def test_matches_dense_expansion(self, rng):
         for L in (2, 3):
@@ -99,16 +98,21 @@ class TestChainEvaluator:
                 graph = random_graph(rng, L, 3)
                 tensor = expand_links_to_tensor(graph)
                 a = random_assignment(rng, as_grids(4, L), 3)
-                got = eval_effective_chain(graph, a)
-                want = eval_effective_dense(tensor, a)
+                got = effective_channel(graph, a)
+                want = effective_channel(tensor, a)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_effective_channel_dispatch(self, rng):
-        graph = random_graph(rng, 2, 2)
-        a = random_assignment(rng, as_grids(4, 2), 2)
-        assert effective_channel(graph, a) == eval_effective_chain(graph, a)
-        tensor = random_tensor(rng, 2, 2)
-        assert effective_channel(tensor, a) == eval_effective_dense(tensor, a)
+        # both forms, against the batch evaluator row by row
+        for L in (1, 2, 3):
+            graph = random_graph(rng, L, 2)
+            grids = as_grids(4, L)
+            rows = [random_assignment(rng, grids, 2) for _ in range(5)]
+            batch = [np.array([a.indices[ell] for a in rows]) for ell in range(L)]
+            for channel in (graph, expand_links_to_tensor(graph)):
+                got = effective_batch(channel, grids, batch)
+                want = [effective_channel(channel, a) for a in rows]
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_expansion_entry_count(self, rng):
         graph = random_graph(rng, 2, 2, edge_prob=1.0)
@@ -131,7 +135,7 @@ class TestChainEvaluator:
         assert np.all(g.hop(0, 1) == 0)
         a = PhaseAssignment.zeros(as_grids(4, 2), 2)
         # no complete path exists, so the field vanishes
-        assert eval_effective_chain(g, a) == pytest.approx(0.0)
+        assert effective_channel(g, a) == pytest.approx(0.0)
 
 
 class TestStageCoefficients:
@@ -144,7 +148,7 @@ class TestStageCoefficients:
             a = random_assignment(rng, grids, n)
             c0, c = stage_coefficients(tensor, a, ell)
             recon = c0 + np.sum(c * a.factors(ell))
-            assert recon == pytest.approx(eval_effective_dense(tensor, a), rel=1e-11)
+            assert recon == pytest.approx(effective_channel(tensor, a), rel=1e-11)
 
     def test_linear_form_identity_chain(self, rng):
         for L in (2, 3):
@@ -154,7 +158,7 @@ class TestStageCoefficients:
                 a = random_assignment(rng, grids, 3)
                 c0, c = stage_coefficients(graph, a, ell)
                 recon = c0 + np.sum(c * a.factors(ell))
-                assert recon == pytest.approx(eval_effective_chain(graph, a), rel=1e-10)
+                assert recon == pytest.approx(effective_channel(graph, a), rel=1e-10)
 
     def test_chain_matches_dense_coefficients(self, rng):
         graph = random_graph(rng, 2, 3)
@@ -211,7 +215,7 @@ class TestSnrBoost:
         a = PhaseAssignment.zeros(as_grids(4, 2), 2)
         b = snr_boost(tensor, a, RadioParams())
         assert b.mode == "ratio"
-        want = abs(eval_effective_dense(tensor, a)) ** 2 / abs(tensor.direct) ** 2
+        want = abs(effective_channel(tensor, a)) ** 2 / abs(tensor.direct) ** 2
         assert b.value == pytest.approx(want)
 
     def test_absolute_mode_when_direct_missing(self, rng):
@@ -222,7 +226,7 @@ class TestSnrBoost:
         params = RadioParams(transmit_power_w=2.0)
         b = snr_boost(tensor, a, params)
         assert b.mode == "absolute_power"
-        want = 2.0 * abs(eval_effective_dense(tensor, a)) ** 2
+        want = 2.0 * abs(effective_channel(tensor, a)) ** 2
         assert b.value == pytest.approx(want)
 
     def test_direct_gain_of_graph(self, rng):
@@ -244,5 +248,5 @@ class TestJsonRoundTrip:
         back = channel_from_json_dict(d)
         assert isinstance(back, LinkChannelGraph)
         a = random_assignment(rng, as_grids(4, 3), 2)
-        assert eval_effective_chain(back, a) == pytest.approx(
-            eval_effective_chain(graph, a))
+        assert effective_channel(back, a) == pytest.approx(
+            effective_channel(graph, a))

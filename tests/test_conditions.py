@@ -28,6 +28,7 @@ from blindbeam import (
     wrap_angle,
 )
 from blindbeam.channel import CascadedChannelTensor
+from blindbeam.conditions import margin_budget, margin_rhs
 
 
 def unit_phases(rng, shape):
@@ -254,6 +255,23 @@ class TestDConditions:
     def test_three_surfaces_pass_with_fine_leading_grids(self, rng):
         inst = make_d_instance(3, 3, (8, 8, 4), rng)
         assert inst.report.passed
+
+    def test_margin_inequality_closed_form(self):
+        # coherent sums 2, sqrt(2), 4 and absolute sums 2, 2, 4: later
+        # surfaces enter coherently, earlier ones by absolute mass times
+        # cos(gamma + pi/K)
+        factors = RankOneFactors.from_raw(
+            [np.array([1.0, 1.0]), np.array([1.0, -1j]), np.array([2.0, 2.0])])
+        grids = as_grids((8, 6, 4), 3)
+        g = np.array([0.1, 0.2])
+        assert margin_budget(grids) == pytest.approx(0.5 - 1 / 8 - 1 / 6)
+        want = [
+            np.sin(g) * math.sqrt(2) * 4,
+            np.sin(g) * 4 * 2 * np.cos(g + math.pi / 8),
+            np.sin(g) * 2 * np.cos(g + math.pi / 8) * 2 * np.cos(g + math.pi / 6),
+        ]
+        for ell in range(3):
+            assert np.allclose(margin_rhs(factors, grids, g, ell), want[ell], rtol=1e-12)
 
     @pytest.mark.parametrize("num_surfaces", [2, 3, 4])
     def test_two_l_levels_satisfy_budget(self, num_surfaces, rng):

@@ -465,10 +465,44 @@ class TestCli:
         assert rc == 0
         capsys.readouterr()
 
-    def test_lemma_check_quick_run(self, capsys):
-        rc = main(["lemma-check", "--trials", "4", "--elements", "4"])
+    def test_lemma_check_quick_run(self, tmp_path, capsys):
+        jout = tmp_path / "l.json"
+        rc = main(["lemma-check", "--trials", "4", "--elements", "4",
+                   "--leakage-margin", "0.25", "--json", str(jout)])
         assert rc == 0
         assert "bound held in 4/4" in capsys.readouterr().out
+        assert json.loads(jout.read_text())["config"]["leakage_margin"] == "0.25"
+
+    def test_compare_elements_zero_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = main(["compare", "--elements", "3", "--trials", "1", "--methods", "random",
+                   "--budget-per-surface", "4", "--out", str(out)])
+        assert rc == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert (row[5], row[7]) == ("3", "8")  # N, and T = L * budget
+        capsys.readouterr()
+        rc = main(["compare", "--elements", "0", "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "config error: elements must be positive, got 0\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_two(self, threads, capsys):
+        rc = main(["lemma-check", "--trials", "2", "--threads", threads])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: threads must be at least 1, got {threads}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scaling", "--levels", "4,4,4", "--surfaces", "2"], "need 1 or 2 level counts"),
+        (["lemma-check", "--levels", "1"], "a phase grid needs at least 2 levels"),
+    ])
+    def test_bad_level_counts_exits_two(self, argv, message, capsys):
+        rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
 
     def test_csv_outputs_are_byte_identical_across_threads(self, tmp_path):
         paths = []
