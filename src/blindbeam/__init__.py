@@ -49,7 +49,6 @@ from .channel import (
 )
 from .conditions import (
     ConditionReport,
-    IndexSetSpec,
     Lemma1Report,
     RankOneCheck,
     RankOneFactors,

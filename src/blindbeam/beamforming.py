@@ -154,12 +154,6 @@ class _GroupSums:
         return CsmTable(self.sums.reshape(self.shape) / counts, counts)
 
 
-def _phase_table(grid: PhaseGrid) -> np.ndarray:
-    """exp(j * omega * k) for k = 0..K-1; lut[idx] equals
-    np.exp(1j * grid.omega * idx) bit for bit."""
-    return np.exp(1j * grid.omega * np.arange(grid.num_levels))
-
-
 @dataclass(frozen=True)
 class BeamformingResult:
     """Outcome of one optimizer run.
@@ -313,7 +307,7 @@ def sequential_csm(channel: Channel, grids, samples_per_surface,
         rng = np.random.default_rng(0)
 
     def decide(ell, grid, c0, c):
-        lut = _phase_table(grid)
+        lut = grid.factor_table()
         groups = _GroupSums(n, grid.num_levels)
         for start in range(0, ts[ell], _CHUNK):
             idx = generate_samples(n, grid, min(_CHUNK, ts[ell] - start), rng)
@@ -345,7 +339,7 @@ def exact_csm_small(channel: Channel, grids) -> BeamformingResult:
         # decode 0..K^N-1 into mixed-radix index rows, most significant first
         codes = np.arange(total)
         idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
-        powers = received_power(c0 + _phase_table(grid)[idx] @ c, params)
+        powers = received_power(c0 + grid.factor_table()[idx] @ c, params)
         return csm_decide(conditional_sample_mean(SampleBatch(idx, powers), grid)), total
 
     return _sequential("exact_csm", channel, grids, params, decide)

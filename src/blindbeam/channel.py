@@ -80,7 +80,11 @@ def parse_noise_model(text: str) -> NoiseModel:
     if t in ("noiseless", "one_draw"):
         return NoiseModel(t)
     if t.startswith("averaged:"):
-        return averaged(int(t.split(":", 1)[1]))
+        try:
+            return averaged(int(t.split(":", 1)[1]))
+        except ValueError:
+            raise ValueError(f"averaged noise model needs an integer draw count >= 1, "
+                             f"got {text!r}") from None
     if t == "averaged":
         raise ValueError("averaged noise model needs a draw count, e.g. averaged:100")
     raise ValueError(f"unknown noise model {text!r}")
@@ -144,12 +148,19 @@ class LinkChannelGraph:
     irs_to_irs[(i, j)][m-1, n-1] : element m of surface i -> element n of
                                    surface j, defined only for i < j
     tx_to_rx                 : direct scalar channel
+
+    An irs_to_irs entry may also be given as a tuple (u, v) of two length-N
+    vectors, meaning the rank-one matrix outer(u, v), which is what a
+    line-of-sight surface pair produces.  irs_to_irs then holds the
+    materialized matrix and rank_one keeps the pair, so the batch forward
+    pass applies that hop in O(B*N) instead of O(B*N^2).
     """
 
     tx_to_irs: tuple[np.ndarray, ...]
     irs_to_rx: tuple[np.ndarray, ...]
     irs_to_irs: dict = field(default_factory=dict)
     tx_to_rx: complex = 0.0 + 0.0j
+    rank_one: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tx = tuple(np.asarray(v, dtype=np.complex128) for v in self.tx_to_irs)
@@ -163,21 +174,33 @@ class LinkChannelGraph:
         rx = tuple(_as_complex_vector(v, n, f"irs_to_rx[{i}]") for i, v in enumerate(rx))
         L = len(tx)
         hops = {}
+        rank_one = {}
         for key, mat in dict(self.irs_to_irs).items():
             i, j = key
             if not (0 <= i < j < L):
                 raise ValueError(f"irs_to_irs key {key} must satisfy 0 <= i < j < L={L}")
-            m = np.array(mat, dtype=np.complex128, copy=True)
-            if m.shape != (n, n):
-                raise ValueError(f"irs_to_irs[{key}] must have shape ({n}, {n})")
+            key = (int(i), int(j))
+            if isinstance(mat, tuple):
+                if len(mat) != 2:
+                    raise ValueError(f"irs_to_irs[{key}] as a tuple must be a (u, v) pair")
+                u, v = (_as_complex_vector(x, n, f"irs_to_irs[{key}] factor") for x in mat)
+                if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                    raise ValueError("link entries must be finite")
+                rank_one[key] = (u, v)
+                m = np.outer(u, v)
+            else:
+                m = np.array(mat, dtype=np.complex128, copy=True)
+                if m.shape != (n, n):
+                    raise ValueError(f"irs_to_irs[{key}] must have shape ({n}, {n})")
             m.flags.writeable = False
-            hops[(int(i), int(j))] = m
+            hops[key] = m
         for v in list(tx) + list(rx) + list(hops.values()):
             if not np.all(np.isfinite(v.view(np.float64))):
                 raise ValueError("link entries must be finite")
         object.__setattr__(self, "tx_to_irs", tx)
         object.__setattr__(self, "irs_to_rx", rx)
         object.__setattr__(self, "irs_to_irs", hops)
+        object.__setattr__(self, "rank_one", rank_one)
         object.__setattr__(self, "tx_to_rx", complex(self.tx_to_rx))
 
     @property
@@ -228,24 +251,55 @@ def _forward(graph: LinkChannelGraph, factors, absorbing=None):
     `absorbing`, which re-radiates nothing.  Returns (g, incoming): g[b] sums
     every path that avoids the absorbing surface, and incoming is the (B, N)
     field arriving at the absorbing surface (None without one).
+
+    A rank-one hop outer(u, v) out of surface i adds (w_i @ u)[:, None] * v
+    to the next field, kept as the (B,) coefficient and v.  A surface whose
+    field is only such terms plus its transmitter link, and which has no
+    full-matrix hop out, never forms its (B, N) field: all it passes on is
+    w @ y for its receiver link and the u of its rank-one hops out, and with
+    w = f * (tx + sum_t coef_t * v_t) these all come from one (B, N) @ (N, k)
+    product of its factors, O(B*N) per surface.
     """
     b, n = factors[0].shape
+    L = graph.num_surfaces
     g = np.full(b, graph.tx_to_rx, dtype=np.complex128)
-    radiated = []
+    dense = [None] * L  # (B, N): transmitter link plus full-matrix hops in
+    terms = [[] for _ in range(L)]  # (coef (B,), v (N,)) from rank-one hops in
     absorbed = None
-    for ell in range(graph.num_surfaces):
-        incoming = np.broadcast_to(graph.tx_to_irs[ell], (b, n)).copy()
-        for i, w in enumerate(radiated):
-            m = graph.irs_to_irs.get((i, ell))
-            if m is not None and w is not None:
-                incoming += w @ m
+    for ell in range(L):
+        f, tx, rx = factors[ell], graph.tx_to_irs[ell], graph.irs_to_rx[ell]
+        out = [j for j in range(ell + 1, L) if (ell, j) in graph.irs_to_irs]
+        thin = [j for j in out if (ell, j) in graph.rank_one]
+        full = [j for j in out if (ell, j) not in graph.rank_one]
+        if ell != absorbing and dense[ell] is None and not full:
+            ys = np.stack([rx] + [graph.rank_one[(ell, j)][0] for j in thin], axis=1)
+            k = ys.shape[1]
+            p = f @ np.concatenate([tx[:, None] * ys] + [v[:, None] * ys for _, v in terms[ell]],
+                                   axis=1)
+            proj = p[:, :k]
+            for t, (coef, _) in enumerate(terms[ell], start=1):
+                proj = proj + coef[:, None] * p[:, t * k:(t + 1) * k]
+            g += proj[:, 0]
+            for col, j in enumerate(thin, start=1):
+                terms[j].append((proj[:, col], graph.rank_one[(ell, j)][1]))
+            continue
+        incoming = dense[ell]
+        if incoming is None:
+            incoming = np.broadcast_to(tx, (b, n)).copy()
+        for coef, v in terms[ell]:
+            incoming += coef[:, None] * v
         if ell == absorbing:
             absorbed = incoming
-            radiated.append(None)
-        else:
-            w = factors[ell] * incoming
-            radiated.append(w)
-            g += w @ graph.irs_to_rx[ell]
+            continue
+        w = f * incoming
+        g += w @ rx
+        for j in thin:
+            u, v = graph.rank_one[(ell, j)]
+            terms[j].append((w @ u, v))
+        for j in full:
+            if dense[j] is None:
+                dense[j] = np.broadcast_to(graph.tx_to_irs[j], (b, n)).copy()
+            dense[j] += w @ graph.irs_to_irs[(ell, j)]
     return g, absorbed
 
 
@@ -312,18 +366,21 @@ def effective_channel(channel: Channel, phases: PhaseAssignment) -> complex:
 def effective_batch(channel: Channel, grids, index_batches) -> np.ndarray:
     """Effective channel for a batch of joint assignments.
 
-    index_batches: sequence of (B, N) integer arrays, one per surface.
-    Returns a complex vector of length B.
+    index_batches: sequence of (B, N) integer arrays, one per surface, with
+    values in [0, K) of that surface's grid.  Returns a complex vector of
+    length B.
     """
     L, n = dims(channel)
     if len(index_batches) != L:
         raise ValueError(f"need {L} index batches, got {len(index_batches)}")
-    factors = [np.exp(1j * grids[ell].omega * np.asarray(index_batches[ell]))
-               for ell in range(L)]
-    b = factors[0].shape[0]
-    for ell, f in enumerate(factors):
-        if f.shape != (b, n):
+    batches = [np.asarray(idx) for idx in index_batches]
+    b = len(batches[0])
+    factors = []
+    for ell, idx in enumerate(batches):
+        if idx.shape != (b, n):
             raise ValueError(f"index batch {ell} must have shape ({b}, {n})")
+        grids[ell].check_indices(idx, f"index batch {ell}")
+        factors.append(grids[ell].factor_table()[idx])
     if isinstance(channel, CascadedChannelTensor):
         g = np.broadcast_to(channel.entries, (b,) + channel.entries.shape)
         for ell in range(L):

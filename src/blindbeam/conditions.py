@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -182,56 +181,9 @@ def recover_full_path_factors(block: np.ndarray, tol: float = DEFAULT_TOL):
     return factors, residual, worst_ratio
 
 
-@dataclass(frozen=True)
-class IndexSetSpec:
-    """Families of path index tuples tied to element `element` of surface
-    `surface` (both 0-based surface, 1-based element).
-
-    kind "through":    n_surface = element, other surfaces unrestricted.
-    kind "all_active": additionally every other surface reflects (index >= 1).
-    kind "some_skip":  the difference, i.e. at least one other surface is
-                       skipped.  These are the leakage paths of the surface.
-    """
-
-    surface: int
-    element: int
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("through", "all_active", "some_skip"):
-            raise ValueError(f"unknown index set kind {self.kind!r}")
-        if self.surface < 0 or self.element < 1:
-            raise ValueError("surface is 0-based, element is 1-based")
-
-    def count(self, num_surfaces: int, num_elements: int) -> int:
-        rest = num_surfaces - 1
-        if self.kind == "through":
-            return (num_elements + 1) ** rest
-        if self.kind == "all_active":
-            return num_elements**rest
-        return (num_elements + 1) ** rest - num_elements**rest
-
-    def tuples(self, num_surfaces: int, num_elements: int):
-        """Yield the member tuples (reference implementation for tests)."""
-        if not (0 <= self.surface < num_surfaces):
-            raise ValueError("surface index out of range")
-        if self.element > num_elements:
-            raise ValueError("element index out of range")
-        lo = 1 if self.kind == "all_active" else 0
-        others = [range(lo, num_elements + 1)] * (num_surfaces - 1)
-        for combo in product(*others):
-            tup = list(combo)
-            tup.insert(self.surface, self.element)
-            tup = tuple(tup)
-            if self.kind == "some_skip" and all(
-                x >= 1 for i, x in enumerate(tup) if i != self.surface
-            ):
-                continue
-            yield tup
-
-
 def _leakage_sums(magnitudes: np.ndarray, surface: int) -> np.ndarray:
-    """sum |h| over the "some_skip" set of every element of `surface`, given
+    """sum |h| over the leakage paths of every element of `surface` (paths
+    through element m that skip at least one other surface), given
     magnitudes = |h|: the through-slice totals minus the all-active ones, one
     axis-sum each.  Entry m-1 belongs to element m."""
     others = tuple(i for i in range(magnitudes.ndim) if i != surface)
@@ -241,7 +193,8 @@ def _leakage_sums(magnitudes: np.ndarray, surface: int) -> np.ndarray:
 
 
 def leakage_abs_sum(tensor: CascadedChannelTensor, surface: int, element: int) -> float:
-    """sum |h| over the "some_skip" set of (surface, element)."""
+    """sum |h| over the leakage paths of (surface, element): the paths
+    through that element which skip at least one other surface."""
     if not (0 <= surface < tensor.num_surfaces and 1 <= element <= tensor.num_elements):
         raise ValueError("surface or element index out of range")
     return float(_leakage_sums(np.abs(tensor.entries), surface)[element - 1])

@@ -37,7 +37,7 @@ from .channel import (
 )
 from .conditions import check_c_conditions, check_cprime, check_d_conditions, lemma1_verify
 from .config import ConfigError, ExperimentConfig, parse_config_file, parse_t_rule
-from .fixtures import build_example, make_d_instance
+from .fixtures import build_example, check_d_grids, make_d_instance
 from .phases import as_grids
 from .scenario import (
     AngleTable,
@@ -181,6 +181,35 @@ def _grids_for(levels, num_surfaces: int):
         raise ConfigError(str(e)) from e
 
 
+def _d_instance_grids(levels, num_surfaces: int):
+    """_grids_for, also held to the resolution requirements of
+    make_d_instance."""
+    grids = _grids_for(levels, num_surfaces)
+    try:
+        check_d_grids(grids)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return grids
+
+
+def _noise_model(config: ExperimentConfig):
+    try:
+        return parse_noise_model(config.get_str("noise", "noiseless"))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _eta(value) -> float:
+    """A line-of-sight probability, which must lie in [0, 1]."""
+    try:
+        eta = float(value)
+    except ValueError as e:
+        raise ConfigError(f"eta must be a number, got {value!r}") from e
+    if not (0.0 <= eta <= 1.0):
+        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
+    return eta
+
+
 def fit_loglog_slope(n_values, boosts):
     """Least-squares slope of log10(boost) against log10(N).
 
@@ -240,8 +269,10 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     levels = config.get_int_list("levels", "4")
     methods = config.get_str("methods", "csm,cpp").replace(",", " ").split()
     t_rule = parse_t_rule(config.get_str("t_rule", "linear:20"))
-    noise = parse_noise_model(config.get_str("noise", "noiseless"))
+    noise = _noise_model(config)
     margin = config.get_float("leakage_margin", 0.5)
+    if not (0.0 <= margin <= 1.0):
+        raise ConfigError(f"leakage_margin must lie in [0, 1], got {margin}")
     params = RadioParams(
         transmit_power_w=dbm_to_watts(config.get_float("power_dbm", 30.0)),
         noise_power_w=dbm_to_watts(config.get_float("noise_dbm", -98.0)),
@@ -250,7 +281,7 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("trials and n_sweep must be nonempty and positive")
     if min(n_list) < 1:
         raise ConfigError("n_sweep entries must be positive")
-    grids = _grids_for(levels, L)
+    grids = _d_instance_grids(levels, L)
     known = {"csm", "cpp"}
     bad = set(methods) - known
     if bad:
@@ -377,7 +408,7 @@ def load_scenario(path) -> Scenario:
     eta = None
     adjacency = None
     if prop.startswith("eta:"):
-        eta = float(prop.split(":", 1)[1])
+        eta = _eta(prop.split(":", 1)[1])
         prop_mode = "eta"
     elif prop.startswith("adjacency:"):
         adjacency = load_adjacency(prop.split(":", 1)[1])
@@ -480,7 +511,7 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"unknown compare methods {sorted(bad)}; pick from {list(COMPARE_METHODS)}")
     t_rule = parse_t_rule(config.get_str("t_rule", "fixed:1000"))
     budget_per_surface = config.get_int("budget_per_surface", 1000)
-    noise = parse_noise_model(config.get_str("noise", "noiseless"))
+    noise = _noise_model(config)
     if trials < 1:
         raise ConfigError("trials must be positive")
     if n < 1:
@@ -563,7 +594,7 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     threads = config.get_int("threads", 1)
     L = config.get_int("surfaces", 2)
     n = config.get_int("elements", 100)
-    etas = config.get_float_list("eta_sweep", "0.2,0.4,0.6,0.8,1.0")
+    etas = [_eta(eta) for eta in config.get_float_list("eta_sweep", "0.2,0.4,0.6,0.8,1.0")]
     levels = config.get_int_list("levels", str(2 * L))
     if L < 2:
         raise ConfigError("the conditions study needs at least two surfaces")
@@ -729,9 +760,11 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     n = config.get_int("elements", 6)
     levels = config.get_int_list("levels", "4")
     margin = config.get_float("leakage_margin", 0.5)
+    if not (0.0 < margin <= 1.0):
+        raise ConfigError(f"leakage_margin must lie in (0, 1], got {margin}")
     if trials < 1:
         raise ConfigError("trials must be positive")
-    grids = _grids_for(levels, L)
+    grids = _d_instance_grids(levels, L)
     params = RadioParams(transmit_power_w=1.0)
 
     def one_trial(trial: int) -> tuple:

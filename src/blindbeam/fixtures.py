@@ -192,6 +192,18 @@ def max_leakage_scale(num_surfaces: int, num_elements: int, grids,
     return float(bound.max())
 
 
+def check_d_grids(grids):
+    """Raise ValueError unless the grids meet the resolution requirements of
+    make_d_instance: the last grid has at least 3 levels and, for L >= 2,
+    the leading grids leave a positive margin budget."""
+    ks = [g.num_levels for g in grids]
+    if ks[-1] < 3 or (len(ks) >= 2 and margin_budget(grids) <= 0.0):
+        raise ValueError(
+            f"grids {ks} violate the resolution requirements (last grid >= 3 "
+            "levels and the leading grids' 1/K budget under 1/2)"
+        )
+
+
 def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
                     a_scale: Optional[float] = None,
                     margin: float = 0.5) -> DInstance:
@@ -207,12 +219,7 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
     if L < 1 or n < 1:
         raise ValueError("need at least one surface and one element")
     grids = as_grids(grids, L)
-    ks = [g.num_levels for g in grids]
-    if ks[-1] < 3 or (L >= 2 and margin_budget(grids) <= 0.0):
-        raise ValueError(
-            f"grids {ks} violate the resolution requirements (last grid >= 3 "
-            "levels and the leading grids' 1/K budget under 1/2)"
-        )
+    check_d_grids(grids)
     if not (0.0 < margin <= 1.0):
         raise ValueError("margin must lie in (0, 1]")
     factors = RankOneFactors.from_raw([_unit_phases(rng, n) for _ in range(L)])

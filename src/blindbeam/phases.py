@@ -41,6 +41,23 @@ class PhaseGrid:
         """Radian value of a grid index (scalar or array)."""
         return np.asarray(index) * self.omega
 
+    def factor_table(self) -> np.ndarray:
+        """Reflection factors exp(j * omega * k) for k = 0..K-1, shape (K,).
+
+        table[idx] equals np.exp(1j * omega * idx) bit for bit, and a gather
+        from K entries is far cheaper than a complex exp per element, so
+        every evaluator takes its factors from here.
+        """
+        return np.exp(1j * self.omega * np.arange(self.num_levels))
+
+    def check_indices(self, indices: np.ndarray, what: str):
+        """Raise ValueError unless `indices` is an integer array with every
+        value in [0, K)."""
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"{what}: phase indices must be integers, got {indices.dtype}")
+        if indices.min(initial=0) < 0 or indices.max(initial=0) >= self.num_levels:
+            raise ValueError(f"{what}: indices must lie in [0, {self.num_levels})")
+
 
 def as_grids(grids, num_surfaces: int) -> tuple[PhaseGrid, ...]:
     """Normalize a PhaseGrid, an int, or a per-surface sequence to a tuple of length num_surfaces."""
@@ -92,10 +109,7 @@ class PhaseAssignment:
                 raise ValueError("all surfaces must have the same number of elements")
             if a.size == 0:
                 raise ValueError("surfaces must have at least one element")
-            if a.min(initial=0) < 0 or a.max(initial=0) >= g.num_levels:
-                raise ValueError(
-                    f"surface {ell + 1}: indices must lie in [0, {g.num_levels})"
-                )
+            g.check_indices(a, f"surface {ell + 1}")
             frozen.append(_freeze(a))
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "indices", tuple(frozen))
@@ -119,7 +133,7 @@ class PhaseAssignment:
 
     def factors(self, ell: int) -> np.ndarray:
         """Unit-modulus reflection factors e^{j*theta} of surface ell, shape (N,)."""
-        return np.exp(1j * self.phase_values(ell))
+        return self.grids[ell].factor_table()[self.indices[ell]]
 
     def factors_with_skip(self, ell: int) -> np.ndarray:
         """[1, e^{j*theta_1}, ..., e^{j*theta_N}]: entry 0 is the skip state."""

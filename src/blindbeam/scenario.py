@@ -205,6 +205,24 @@ def _check_pair(i: int, j: int, num_nodes: int):
         raise ValueError(f"bad node pair ({i}, {j}) for {num_nodes} nodes")
 
 
+def _los_phasor(geometry: Geometry, i: int, j: int) -> complex:
+    """Line-of-sight factor common to every element pair of i -> j:
+    sqrt(pathloss) * exp(-j * 2*pi * d / wavelength)."""
+    d = geometry.distance(i, j)
+    return pathloss_amplitude(d, los=True) * np.exp(-2j * math.pi * d / geometry.wavelength_m)
+
+
+def _los_hop_factors(geometry: Geometry, angles: AngleTable, i: int, j: int,
+                     num_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-one factors (u, v) of the line-of-sight surface i -> surface j
+    matrix outer(u, v): u is the departure ramp at surface i times the common
+    factor, v the arrival ramp at surface j."""
+    xi, lam = geometry.spacing_m, geometry.wavelength_m
+    dep = steering_vector(num_elements, angles.aod[i, j], xi, lam)
+    arr = steering_vector(num_elements, angles.aoa[j, i], xi, lam)
+    return _los_phasor(geometry, i, j) * dep, arr
+
+
 def los_link_channels(geometry: Geometry, angles: AngleTable, i: int, j: int,
                       num_elements: int) -> np.ndarray:
     """Deterministic line-of-sight channel for the ordered pair i -> j.
@@ -221,18 +239,16 @@ def los_link_channels(geometry: Geometry, angles: AngleTable, i: int, j: int,
     tx_node, rx_node = 0, nn - 1
     if {i, j} == {tx_node, rx_node}:
         raise ValueError("pair must involve at least one surface")
-    d = geometry.distance(i, j)
-    base = pathloss_amplitude(d, los=True) * np.exp(-2j * math.pi * d / geometry.wavelength_m)
     xi, lam = geometry.spacing_m, geometry.wavelength_m
     if i == tx_node:
         # arrival ramp at surface j, angle of arrival from the transmitter
-        return base * steering_vector(num_elements, angles.aoa[j, i], xi, lam)
-    if j == rx_node:
+        ramp = steering_vector(num_elements, angles.aoa[j, i], xi, lam)
+    elif j == rx_node:
         # departure ramp at surface i toward the receiver
-        return base * steering_vector(num_elements, angles.aod[i, j], xi, lam)
-    dep = steering_vector(num_elements, angles.aod[i, j], xi, lam)
-    arr = steering_vector(num_elements, angles.aoa[j, i], xi, lam)
-    return base * np.outer(dep, arr)
+        ramp = steering_vector(num_elements, angles.aod[i, j], xi, lam)
+    else:
+        return np.outer(*_los_hop_factors(geometry, angles, i, j, num_elements))
+    return _los_phasor(geometry, i, j) * ramp
 
 
 def nlos_link_channels(geometry: Geometry, i: int, j: int, num_elements: int,
@@ -268,7 +284,8 @@ def build_link_graph(geometry: Geometry, angles: AngleTable,
     surface pairs in lexicographic order, surfaces -> receiver by index,
     direct link last) so a given rng seed always yields the same channels.
     With zero_nlos=True, non-line-of-sight links are exactly zero instead of
-    random fading.
+    random fading.  A line-of-sight surface pair is passed to the graph as
+    its rank-one factors, so batch evaluation applies that hop in O(B*N).
     """
     L = geometry.num_surfaces
     nn = geometry.num_nodes
@@ -285,6 +302,8 @@ def build_link_graph(geometry: Geometry, angles: AngleTable,
 
     def make(i, j, shape):
         if propagation.is_los(i, j):
+            if len(shape) == 2:
+                return _los_hop_factors(geometry, angles, i, j, n)
             return los_link_channels(geometry, angles, i, j, n)
         if zero_nlos:
             return np.zeros(shape, dtype=np.complex128)
@@ -297,8 +316,7 @@ def build_link_graph(geometry: Geometry, angles: AngleTable,
             irs_to_irs[(i - 1, j - 1)] = make(i, j, (n, n))
     irs_to_rx = tuple(make(ell, rx_node, (n,)) for ell in range(1, L + 1))
     if propagation.is_los(0, rx_node):
-        d = geometry.distance(0, rx_node)
-        direct = pathloss_amplitude(d, True) * np.exp(-2j * math.pi * d / geometry.wavelength_m)
+        direct = _los_phasor(geometry, 0, rx_node)
     elif zero_nlos:
         direct = 0.0 + 0.0j
     else:

@@ -1,6 +1,8 @@
 """Shared test helpers: brute-force oracles kept deliberately dumb."""
 
 import sys
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import pytest
@@ -49,6 +51,54 @@ def expand_links_oracle(graph: LinkChannelGraph) -> np.ndarray:
             amp = amp * graph.irs_to_rx[last_ell][last_k - 1]
         out[idx] = amp
     return out
+
+
+@dataclass(frozen=True)
+class IndexSetSpec:
+    """Families of path index tuples tied to element `element` of surface
+    `surface` (both 0-based surface, 1-based element).
+
+    kind "through":    n_surface = element, other surfaces unrestricted.
+    kind "all_active": additionally every other surface reflects (index >= 1).
+    kind "some_skip":  the difference, i.e. at least one other surface is
+                       skipped.  These are the leakage paths of the surface.
+    """
+
+    surface: int
+    element: int
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in ("through", "all_active", "some_skip"):
+            raise ValueError(f"unknown index set kind {self.kind!r}")
+        if self.surface < 0 or self.element < 1:
+            raise ValueError("surface is 0-based, element is 1-based")
+
+    def count(self, num_surfaces: int, num_elements: int) -> int:
+        rest = num_surfaces - 1
+        if self.kind == "through":
+            return (num_elements + 1) ** rest
+        if self.kind == "all_active":
+            return num_elements**rest
+        return (num_elements + 1) ** rest - num_elements**rest
+
+    def tuples(self, num_surfaces: int, num_elements: int):
+        """Yield the member tuples."""
+        if not (0 <= self.surface < num_surfaces):
+            raise ValueError("surface index out of range")
+        if self.element > num_elements:
+            raise ValueError("element index out of range")
+        lo = 1 if self.kind == "all_active" else 0
+        others = [range(lo, num_elements + 1)] * (num_surfaces - 1)
+        for combo in product(*others):
+            tup = list(combo)
+            tup.insert(self.surface, self.element)
+            tup = tuple(tup)
+            if self.kind == "some_skip" and all(
+                x >= 1 for i, x in enumerate(tup) if i != self.surface
+            ):
+                continue
+            yield tup
 
 
 def random_tensor(rng, num_surfaces: int, num_elements: int) -> CascadedChannelTensor:

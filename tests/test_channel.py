@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -136,6 +137,121 @@ class TestChainEvaluator:
         a = PhaseAssignment.zeros(as_grids(4, 2), 2)
         # no complete path exists, so the field vanishes
         assert effective_channel(g, a) == pytest.approx(0.0)
+
+
+def _factored_pair(rng, kinds, n):
+    """The same random link graph twice: hop (i, j) with kinds[(i, j)] ==
+    "rank_one" is a (u, v) pair in the first graph and np.outer(u, v) in the
+    second; "dense" hops are matrices in both and "absent" ones are left out."""
+
+    def vec():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    L = max(j for _, j in kinds) + 1
+    tx = tuple(vec() for _ in range(L))
+    rx = tuple(vec() for _ in range(L))
+    factored, materialized = {}, {}
+    for pair, kind in kinds.items():
+        if kind == "rank_one":
+            u, v = vec(), vec()
+            factored[pair], materialized[pair] = (u, v), np.outer(u, v)
+        elif kind == "dense":
+            factored[pair] = materialized[pair] = np.stack([vec() for _ in range(n)])
+    direct = complex(*rng.standard_normal(2))
+    return (LinkChannelGraph(tx, rx, factored, direct),
+            LinkChannelGraph(tx, rx, materialized, direct))
+
+
+def _hop_layouts():
+    """Every assignment of rank_one / dense / absent to the surface pairs of
+    L = 2 and L = 3, with at least one rank-one hop."""
+    for L in (2, 3):
+        pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+        for combo in itertools.product(("rank_one", "dense", "absent"), repeat=len(pairs)):
+            if "rank_one" in combo:
+                yield dict(zip(pairs, combo))
+
+
+class TestFactoredHops:
+    N = 4
+
+    @pytest.fixture(params=list(_hop_layouts()), ids=lambda k: "-".join(
+        f"{i}{j}{kind[0]}" for (i, j), kind in k.items()))
+    def graphs(self, request, rng):
+        return _factored_pair(rng, request.param, self.N)
+
+    def test_graph_keeps_pair_and_matrix(self, graphs):
+        factored, materialized = graphs
+        assert factored.rank_one and not materialized.rank_one
+        for pair, (u, v) in factored.rank_one.items():
+            assert np.array_equal(factored.hop(*pair), np.outer(u, v))
+            assert np.array_equal(factored.hop(*pair), materialized.hop(*pair))
+        assert factored.irs_to_irs.keys() == materialized.irs_to_irs.keys()
+
+    def test_effective_batch(self, graphs, rng):
+        factored, materialized = graphs
+        L = factored.num_surfaces
+        grids = as_grids(4, L)
+        batch = [rng.integers(0, 4, size=(9, self.N)) for _ in range(L)]
+        got = effective_batch(factored, grids, batch)
+        assert np.allclose(got, effective_batch(materialized, grids, batch),
+                           rtol=1e-12, atol=0)
+        # the tensor path shares no code with the link-graph forward pass
+        tensor = expand_links_to_tensor(materialized)
+        assert np.allclose(got, effective_batch(tensor, grids, batch), rtol=1e-12, atol=0)
+
+    def test_effective_channel_and_stage_coefficients(self, graphs, rng):
+        factored, materialized = graphs
+        L = factored.num_surfaces
+        for _ in range(3):
+            a = random_assignment(rng, as_grids(4, L), self.N)
+            assert effective_channel(factored, a) == pytest.approx(
+                effective_channel(materialized, a), rel=1e-12, abs=0)
+            for ell in range(L):
+                c0, c = stage_coefficients(factored, a, ell)
+                w0, w = stage_coefficients(materialized, a, ell)
+                assert c0 == pytest.approx(w0, rel=1e-12, abs=0)
+                assert np.allclose(c, w, rtol=1e-12, atol=0)
+
+    def test_expansion(self, graphs):
+        factored, materialized = graphs
+        assert np.allclose(expand_links_to_tensor(factored).entries,
+                           expand_links_to_tensor(materialized).entries, rtol=1e-12, atol=0)
+
+    def test_json_round_trip(self, graphs, rng):
+        factored, _ = graphs
+        back = channel_from_json_dict(json.loads(json.dumps(channel_to_json_dict(factored))))
+        for pair, m in factored.irs_to_irs.items():
+            assert np.array_equal(back.hop(*pair), m)
+        L = factored.num_surfaces
+        grids = as_grids(4, L)
+        batch = [rng.integers(0, 4, size=(9, self.N)) for _ in range(L)]
+        assert np.allclose(effective_batch(back, grids, batch),
+                           effective_batch(factored, grids, batch), rtol=1e-12, atol=0)
+
+    def test_rejects_bad_pairs(self):
+        ones = np.ones(2, complex)
+        for bad in ((ones,), (ones, ones, ones), (ones, np.ones(3, complex)),
+                    (ones, np.array([np.inf, 1.0]))):
+            with pytest.raises(ValueError):
+                LinkChannelGraph((ones, ones), (ones, ones), {(0, 1): bad}, 0.0)
+
+
+class TestEffectiveBatchIndices:
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_index_raises(self, rng, bad):
+        graph = random_graph(rng, 2, 3)
+        grids = as_grids(4, 2)
+        batch = [rng.integers(0, 4, size=(5, 3)) for _ in range(2)]
+        batch[1][2, 1] = bad
+        for channel in (graph, expand_links_to_tensor(graph)):
+            with pytest.raises(ValueError, match=r"index batch 1: indices must lie in \[0, 4\)"):
+                effective_batch(channel, grids, batch)
+
+    def test_non_integer_index_raises(self, rng):
+        graph = random_graph(rng, 1, 3)
+        with pytest.raises(ValueError, match="must be integers"):
+            effective_batch(graph, as_grids(4, 1), [np.zeros((2, 3))])
 
 
 class TestStageCoefficients:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from blindbeam import (
-    IndexSetSpec,
     PhaseAssignment,
     PhaseGrid,
     RankOneFactors,
@@ -29,6 +28,7 @@ from blindbeam import (
 )
 from blindbeam.channel import CascadedChannelTensor
 from blindbeam.conditions import margin_budget, margin_rhs
+from conftest import IndexSetSpec
 
 
 def unit_phases(rng, shape):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +507,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--noise", "averaged:0"], "averaged noise model needs an integer draw"),
+        (["conditions", "--eta-sweep", "1.5"], "eta must lie in [0, 1], got 1.5"),
+        (["lemma-check", "--levels", "2"], "grids [2, 2] violate the resolution"),
+        (["scaling", "--levels", "2"], "grids [2, 2] violate the resolution"),
+        (["lemma-check", "--leakage-margin", "1.5"], "leakage_margin must lie in (0, 1]"),
+        (["scaling", "--leakage-margin", "-1"], "leakage_margin must lie in [0, 1]"),
+    ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
+            "lemma-margin-1.5", "scaling-margin-neg"])
+    def test_out_of_range_values_exit_two_without_traceback(self, argv, message):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "blindbeam", *argv, "--trials", "1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_csv_outputs_are_byte_identical_across_threads(self, tmp_path):
         paths = []

@@ -12,14 +12,15 @@ from blindbeam import (
     CascadedChannelTensor,
     EmptyGroupError,
     LinkChannelGraph,
+    PhaseAssignment,
     PhaseGrid,
     SampleBatch,
     conditional_sample_mean,
     expand_links_to_tensor,
 )
-from blindbeam.beamforming import _GroupSums, _phase_table
-from blindbeam.conditions import IndexSetSpec, _leakage_sums, leakage_abs_sum
-from conftest import expand_links_oracle
+from blindbeam.beamforming import _GroupSums
+from blindbeam.conditions import _leakage_sums, leakage_abs_sum
+from conftest import IndexSetSpec, expand_links_oracle
 
 kernel_settings = settings(deadline=None, max_examples=60)
 seeds = st.integers(0, 2**32 - 1)
@@ -115,9 +116,13 @@ def test_conditional_sample_mean_matches_naive_means(n, k, t, seed):
 def test_phase_table_is_bit_identical_to_exp(k, t, n, seed):
     grid = PhaseGrid(k)
     idx = np.random.default_rng(seed).integers(0, k, size=(t, n))
-    got = _phase_table(grid)[idx]
+    got = grid.factor_table()[idx]
     want = np.exp(1j * grid.omega * idx)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the scalar evaluators' factors, which took exp of the radian phases
+    a = PhaseAssignment((grid,), (idx[0],))
+    want = np.exp(1j * a.phase_values(0))
+    assert np.array_equal(a.factors(0).view(np.uint64), want.view(np.uint64))
 
 
 @kernel_settings

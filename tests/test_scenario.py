@@ -9,13 +9,16 @@ from blindbeam import (
     PropagationMap,
     build_link_graph,
     dbm_to_watts,
+    default_scenario_path,
     expand_links_to_tensor,
     forced_chain_edges,
     load_adjacency,
+    load_scenario,
     los_link_channels,
     nlos_link_channels,
     pathloss_amplitude,
     place_random,
+    realize_scenario,
     sample_propagation,
     steering_vector,
 )
@@ -203,6 +206,26 @@ class TestBuildGraph:
         t1 = expand_links_to_tensor(g1).entries
         t2 = expand_links_to_tensor(g2).entries
         assert np.array_equal(t1, t2)
+
+
+    def test_packaged_corridor_keeps_los_hop_factored(self):
+        # double_irs.cfg: the surface 1 -> surface 2 hop is on the forced
+        # line-of-sight chain, so the graph must hold it as (u, v) factors
+        scenario = load_scenario(default_scenario_path())
+        graph, _, _ = realize_scenario(scenario, seed=0, trial=0)
+        assert set(graph.rank_one) == {(0, 1)}
+        u, v = graph.rank_one[(0, 1)]
+        assert np.array_equal(graph.hop(0, 1), np.outer(u, v))
+        want = los_link_channels(scenario.geometry, AngleTable.from_geometry(scenario.geometry),
+                                 1, 2, scenario.num_elements)
+        assert np.array_equal(graph.hop(0, 1), want)
+
+    def test_nlos_surface_pair_is_a_full_matrix(self):
+        g = square_geometry()
+        graph = build_link_graph(g, AngleTable.from_geometry(g),
+                                 PropagationMap(np.zeros((4, 4), dtype=bool)), 3,
+                                 np.random.default_rng(0))
+        assert not graph.rank_one and (0, 1) in graph.irs_to_irs
 
 
 class TestPlacement:
