@@ -12,8 +12,6 @@ from .beamforming import (
     BeamformingResult,
     CsmTable,
     EmptyGroupError,
-    SampleBatch,
-    conditional_sample_mean,
     cpp_decide,
     csm_decide,
     exact_csm_small,
@@ -40,10 +38,8 @@ from .channel import (
     dims,
     effective_channel,
     expand_links_to_tensor,
-    load_channel,
     parse_noise_model,
     received_power,
-    save_channel,
     snr_boost,
     stage_coefficients,
 )
@@ -60,7 +56,6 @@ from .conditions import (
     leakage_abs_sum,
     lemma1_verify,
     recover_full_path_factors,
-    theta_hat_star,
     theta_hat_star_all,
 )
 from .config import ConfigError, ExperimentConfig, parse_config_file, parse_t_rule

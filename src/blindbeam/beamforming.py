@@ -59,38 +59,6 @@ class EmptyGroupError(ValueError):
 
 
 @dataclass(frozen=True)
-class SampleBatch:
-    """T random probes of one surface: per-sample phase indices and powers."""
-
-    indices: np.ndarray
-    powers: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        pw = np.asarray(self.powers, dtype=np.float64)
-        if idx.ndim != 2:
-            raise ValueError("indices must be (T, N)")
-        if pw.shape != (idx.shape[0],):
-            raise ValueError("powers must be a vector of length T")
-        if idx.shape[0] < 1:
-            raise ValueError("need at least one sample")
-        if idx.min() < 0:
-            raise ValueError("phase indices must be nonnegative")
-        if np.any(pw < 0):
-            raise ValueError("powers must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "powers", pw)
-
-    @property
-    def num_samples(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def num_elements(self) -> int:
-        return self.indices.shape[1]
-
-
-@dataclass(frozen=True)
 class CsmTable:
     """Conditional sample means per (element, phase index).
 
@@ -187,16 +155,6 @@ def generate_samples(num_elements: int, grid: PhaseGrid, num_samples: int, rng) 
     if num_samples < 1:
         raise ValueError("need at least one sample")
     return rng.integers(0, grid.num_levels, size=(num_samples, num_elements), dtype=np.int64)
-
-
-def conditional_sample_mean(batch: SampleBatch, grid: PhaseGrid) -> CsmTable:
-    """Group measured powers by (element, phase index) and average."""
-    k = grid.num_levels
-    if batch.indices.max() >= k:
-        raise ValueError("sample indices exceed the grid size")
-    groups = _GroupSums(batch.num_elements, k)
-    groups.add(batch.indices, batch.powers)
-    return groups.table()
 
 
 def csm_decide(table: CsmTable, rel_tol: float = 1e-9) -> np.ndarray:
@@ -339,8 +297,9 @@ def exact_csm_small(channel: Channel, grids) -> BeamformingResult:
         # decode 0..K^N-1 into mixed-radix index rows, most significant first
         codes = np.arange(total)
         idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
-        powers = received_power(c0 + grid.factor_table()[idx] @ c, params)
-        return csm_decide(conditional_sample_mean(SampleBatch(idx, powers), grid)), total
+        groups = _GroupSums(n, k)
+        groups.add(idx, received_power(c0 + grid.factor_table()[idx] @ c, params))
+        return csm_decide(groups.table()), total
 
     return _sequential("exact_csm", channel, grids, params, decide)
 

@@ -20,7 +20,6 @@ Both forms answer the same queries through the dispatch helpers below:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -303,14 +302,28 @@ def _forward(graph: LinkChannelGraph, factors, absorbing=None):
     return g, absorbed
 
 
-def _stage_coefficients_dense(tensor, phases, ell):
-    g = tensor.entries
-    L = tensor.num_surfaces
-    # contract highest remaining axis first so lower axis positions stay put
-    for i in range(L - 1, -1, -1):
-        if i == ell:
+def contract(entries: np.ndarray, rows, keep=None) -> np.ndarray:
+    """Contract a dense array against one weight row per axis, for B rows
+    at once.
+
+    rows[i] is a (B, d_i) weight array for axis i.  Axes are contracted from
+    the highest down, so lower axis positions stay put, and axis `keep` is
+    left open.  Returns (B,) without `keep` and (B, d_keep) with it (B is 1
+    when `keep` is the only axis).  This is the dense twin of _forward.
+    """
+    g = entries[None]
+    for i in range(entries.ndim - 1, -1, -1):
+        if i == keep:
             continue
-        g = np.tensordot(g, phases.factors_with_skip(i), axes=(i, 0))
+        g = np.moveaxis(g, i + 1, -1)
+        rest = g.shape[1:-1]
+        g = (g.reshape(g.shape[0], -1, g.shape[-1]) @ rows[i][:, :, None]).reshape((-1,) + rest)
+    return g
+
+
+def _stage_coefficients_dense(tensor, phases, ell):
+    rows = [phases.factors_with_skip(i)[None, :] for i in range(tensor.num_surfaces)]
+    g = contract(tensor.entries, rows, keep=ell)[0]
     return complex(g[0]), np.ascontiguousarray(g[1:])
 
 
@@ -382,12 +395,8 @@ def effective_batch(channel: Channel, grids, index_batches) -> np.ndarray:
         grids[ell].check_indices(idx, f"index batch {ell}")
         factors.append(grids[ell].factor_table()[idx])
     if isinstance(channel, CascadedChannelTensor):
-        g = np.broadcast_to(channel.entries, (b,) + channel.entries.shape)
-        for ell in range(L):
-            skip = np.concatenate([np.ones((b, 1), dtype=np.complex128), factors[ell]], axis=1)
-            # contract the first tensor axis (axis 1 of g) against the batch
-            g = np.einsum("bk,bk...->b...", skip, g)
-        return np.ascontiguousarray(g)
+        skip = np.ones((b, 1), dtype=np.complex128)
+        return contract(channel.entries, [np.concatenate([skip, f], axis=1) for f in factors])
     return _forward(channel, factors)[0]
 
 
@@ -532,12 +541,3 @@ def channel_from_json_dict(d: dict) -> Channel:
         )
     raise ValueError(f"unknown channel JSON type {kind!r}")
 
-
-def save_channel(path, channel: Channel):
-    with open(path, "w") as f:
-        json.dump(channel_to_json_dict(channel), f)
-
-
-def load_channel(path) -> Channel:
-    with open(path) as f:
-        return channel_from_json_dict(json.load(f))

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import CascadedChannelTensor, Channel, dims
+from .channel import CascadedChannelTensor, Channel, contract, dims
 from .phases import PhaseAssignment, as_grids, wrap_angle
 
 DEFAULT_TOL = 1e-8
@@ -483,26 +483,14 @@ def theta_hat_star_all(channel: Channel, factors: RankOneFactors,
         raise ValueError(f"surface index {ell} out of range")
     if factors.num_surfaces != L or factors.num_elements != n:
         raise ValueError("factor dimensions do not match the channel")
-    ones_skip = np.ones(n + 1, dtype=np.complex128)
-    # paths that skip surface ell, earlier surfaces at their decisions
-    sub = np.take(t.entries, 0, axis=ell)
-    others = [i for i in range(L) if i != ell]
-    for pos in range(len(others) - 1, -1, -1):
-        i = others[pos]
-        vec = decided.factors_with_skip(i) if i < ell else ones_skip
-        sub = np.tensordot(sub, vec, axes=(pos, 0))
-    s0 = complex(sub)
+    # earlier surfaces at their decisions, later ones at phase 0
+    rows = [(decided.factors_with_skip(i) if i < ell
+             else np.ones(n + 1, dtype=np.complex128))[None, :] for i in range(L)]
+    # paths that skip surface ell
+    s0 = complex(contract(t.entries, rows, keep=ell)[0, 0])
     # all-active paths, split by the element of surface ell
-    active = t.entries
-    for i in range(L - 1, -1, -1):
-        if i == ell:
-            continue
-        take = slice(1, None)
-        vec = decided.factors(i) if i < ell else np.ones(n, dtype=np.complex128)
-        idx = [slice(None)] * active.ndim
-        idx[i] = take
-        active = np.tensordot(active[tuple(idx)], vec, axes=(i, 0))
-    e_by_element = active[1:]
+    e_by_element = contract(t.entries[(slice(1, None),) * L], [r[:, 1:] for r in rows],
+                            keep=ell)[0]
     if np.any(e_by_element == 0):
         bad = int(np.argmax(e_by_element == 0))
         raise ValueError(
@@ -512,15 +500,6 @@ def theta_hat_star_all(channel: Channel, factors: RankOneFactors,
     u = factors.vectors[ell]
     target = (np.angle(s0) - np.angle(u) - np.angle(e_by_element / u))
     return wrap_angle(target)
-
-
-def theta_hat_star(channel: Channel, factors: RankOneFactors,
-                   decided: PhaseAssignment, ell: int, element: int) -> float:
-    """Ideal aligning phase of one element (1-based) of surface ell."""
-    all_targets = theta_hat_star_all(channel, factors, decided, ell)
-    if not (1 <= element <= all_targets.size):
-        raise ValueError("element index out of range")
-    return float(all_targets[element - 1])
 
 
 @dataclass(frozen=True)

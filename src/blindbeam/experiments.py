@@ -133,6 +133,19 @@ def _levels_label(grids) -> str:
     return "|".join(str(k) for k in ks)
 
 
+def _record(experiment: str, seed: int, trial: int, method: str, grids, n: int,
+            samples: int, kind: str, value: float, wall_s: float = 0.0) -> RunRecord:
+    """One CSV row; L and K come from the grids."""
+    return RunRecord(experiment, seed, trial, method, len(grids), n, _levels_label(grids),
+                     samples, kind, value, wall_s)
+
+
+def _boost_metric(channel, assignment, params: RadioParams) -> tuple:
+    """(metric_kind, metric_value) of an assignment's SNR boost."""
+    boost = snr_boost(channel, assignment, params)
+    return "boost_linear" if boost.mode == "ratio" else "power_watts", boost.value
+
+
 def sort_records(records) -> list:
     return sorted(records, key=lambda r: (r.trial, r.method, r.num_elements))
 
@@ -199,6 +212,17 @@ def _noise_model(config: ExperimentConfig):
         raise ConfigError(str(e)) from e
 
 
+def _radio_params(config: ExperimentConfig) -> RadioParams:
+    """Transmit and noise power from the power_dbm and noise_dbm keys."""
+    try:
+        return RadioParams(
+            transmit_power_w=dbm_to_watts(config.get_float("power_dbm", 30.0)),
+            noise_power_w=dbm_to_watts(config.get_float("noise_dbm", -98.0)),
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def _eta(value) -> float:
     """A line-of-sight probability, which must lie in [0, 1]."""
     try:
@@ -208,6 +232,16 @@ def _eta(value) -> float:
     if not (0.0 <= eta <= 1.0):
         raise ConfigError(f"eta must lie in [0, 1], got {eta}")
     return eta
+
+
+def _samples_per_surface(t_rule, rule_text: str, n: int, levels) -> int:
+    """T = t_rule(n), which must reach every surface's K: with fewer probes
+    than phase levels some (element, phase index) group stays empty."""
+    t = t_rule(n)
+    if t < max(levels):
+        raise ConfigError(f"t_rule {rule_text} gives T={t} samples per surface at N={n}, "
+                          f"fewer than K={max(levels)} phase levels")
+    return t
 
 
 def fit_loglog_slope(n_values, boosts):
@@ -268,15 +302,13 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     n_list = config.get_int_list("n_sweep", "8,16,32,64,128")
     levels = config.get_int_list("levels", "4")
     methods = config.get_str("methods", "csm,cpp").replace(",", " ").split()
-    t_rule = parse_t_rule(config.get_str("t_rule", "linear:20"))
+    rule_text = config.get_str("t_rule", "linear:20")
+    t_rule = parse_t_rule(rule_text)
     noise = _noise_model(config)
     margin = config.get_float("leakage_margin", 0.5)
     if not (0.0 <= margin <= 1.0):
         raise ConfigError(f"leakage_margin must lie in [0, 1], got {margin}")
-    params = RadioParams(
-        transmit_power_w=dbm_to_watts(config.get_float("power_dbm", 30.0)),
-        noise_power_w=dbm_to_watts(config.get_float("noise_dbm", -98.0)),
-    )
+    params = _radio_params(config)
     if trials < 1 or not n_list:
         raise ConfigError("trials and n_sweep must be nonempty and positive")
     if min(n_list) < 1:
@@ -286,6 +318,8 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     bad = set(methods) - known
     if bad:
         raise ConfigError(f"unknown scaling methods {sorted(bad)}; pick from {sorted(known)}")
+    t_csm = ({n: _samples_per_surface(t_rule, rule_text, n, levels) for n in n_list}
+             if "csm" in methods else {})
 
     def one_trial(trial: int) -> list:
         # first pass: per-N feasibility ceilings with the trial's channel streams
@@ -305,26 +339,14 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
                     res = sequential_cpp_oracle(inst.tensor, grids, params)
                     t_used = 0
                 else:
-                    t_used = t_rule(n)
+                    t_used = t_csm[n]
                     res = sequential_csm(
                         inst.tensor, grids, t_used, params, noise,
                         derive_rng(seed, trial, TAG_SAMPLING, n),
                     )
-                boost = snr_boost(inst.tensor, res.assignment, params)
-                kind = "boost_linear" if boost.mode == "ratio" else "power_watts"
-                out.append(RunRecord(
-                    experiment="scaling",
-                    seed=seed,
-                    trial=trial,
-                    method=method,
-                    num_surfaces=L,
-                    num_elements=n,
-                    levels=_levels_label(grids),
-                    samples=t_used,
-                    metric_kind=kind,
-                    metric_value=boost.value,
-                    wall_s=time.perf_counter() - start,
-                ))
+                out.append(_record("scaling", seed, trial, method, grids, n, t_used,
+                                   *_boost_metric(inst.tensor, res.assignment, params),
+                                   wall_s=time.perf_counter() - start))
         return out
 
     per_trial = _map_ordered(one_trial, list(range(trials)), threads)
@@ -378,6 +400,11 @@ def load_scenario(path) -> Scenario:
         raise ConfigError("surfaces and elements must be positive")
     levels = cfg.get_int_list("levels", "4")
     grids = _grids_for(levels, L)
+    spacing = cfg.get_float("spacing", 0.03)
+    wavelength = cfg.get_float("wavelength", 0.06)
+    if not (spacing > 0 and wavelength > 0):
+        raise ConfigError(f"spacing and wavelength must be positive, got {spacing} and "
+                          f"{wavelength}")
     placement = cfg.get_str("placement", "explicit")
     geometry = None
     if placement == "explicit":
@@ -385,20 +412,23 @@ def load_scenario(path) -> Scenario:
         for ell in range(1, L + 1):
             pos.append(cfg.get_pair(f"surface{ell}"))
         pos.append(cfg.get_pair("rx", "100,0"))
-        geometry = Geometry(
-            np.asarray(pos, dtype=float),
-            spacing_m=cfg.get_float("spacing", 0.03),
-            wavelength_m=cfg.get_float("wavelength", 0.06),
-        )
+        try:
+            geometry = Geometry(np.asarray(pos, dtype=float), spacing, wavelength)
+        except ValueError as e:
+            raise ConfigError(f"scenario geometry: {e}") from e
     elif placement != "random_staircase":
         raise ConfigError(f"unknown placement {placement!r}")
     angles = cfg.get_str("angles", "bearing")
     fixed_angle = None
-    if angles.startswith("fixed_deg:"):
-        fixed_angle = math.radians(float(angles.split(":", 1)[1]))
-        angles_mode = "fixed"
-    elif angles.startswith("fixed_rad:"):
-        fixed_angle = float(angles.split(":", 1)[1])
+    if angles.startswith(("fixed_deg:", "fixed_rad:")):
+        try:
+            fixed_angle = float(angles.split(":", 1)[1])
+        except ValueError:
+            fixed_angle = math.nan
+        if not math.isfinite(fixed_angle):
+            raise ConfigError(f"angles {angles!r} needs a finite number after the colon")
+        if angles.startswith("fixed_deg:"):
+            fixed_angle = math.radians(fixed_angle)
         angles_mode = "fixed"
     elif angles == "bearing":
         angles_mode = "bearing"
@@ -411,7 +441,10 @@ def load_scenario(path) -> Scenario:
         eta = _eta(prop.split(":", 1)[1])
         prop_mode = "eta"
     elif prop.startswith("adjacency:"):
-        adjacency = load_adjacency(prop.split(":", 1)[1])
+        try:
+            adjacency = load_adjacency(prop.split(":", 1)[1])
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"propagation {prop!r}: {e}") from e
         prop_mode = "adjacency"
     elif prop in ("chain_only", "all_los"):
         prop_mode = prop
@@ -429,12 +462,9 @@ def load_scenario(path) -> Scenario:
         eta=eta,
         adjacency=adjacency,
         zero_nlos=cfg.get_bool("zero_nlos", False),
-        params=RadioParams(
-            transmit_power_w=dbm_to_watts(cfg.get_float("power_dbm", 30.0)),
-            noise_power_w=dbm_to_watts(cfg.get_float("noise_dbm", -98.0)),
-        ),
-        spacing_m=cfg.get_float("spacing", 0.03),
-        wavelength_m=cfg.get_float("wavelength", 0.06),
+        params=_radio_params(cfg),
+        spacing_m=spacing,
+        wavelength_m=wavelength,
     )
 
 
@@ -449,9 +479,6 @@ def realize_scenario(scenario: Scenario, seed: int, trial: int,
     L = scenario.num_surfaces
     if scenario.placement == "explicit":
         geometry = scenario.geometry
-        if geometry.spacing_m != scenario.spacing_m:
-            geometry = Geometry(geometry.positions, scenario.spacing_m,
-                                scenario.wavelength_m)
     else:
         geometry = place_random(L, derive_rng(seed, trial, TAG_PLACEMENT))
         geometry = Geometry(geometry.positions, scenario.spacing_m, scenario.wavelength_m)
@@ -509,18 +536,20 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     bad = set(methods) - set(COMPARE_METHODS)
     if bad:
         raise ConfigError(f"unknown compare methods {sorted(bad)}; pick from {list(COMPARE_METHODS)}")
-    t_rule = parse_t_rule(config.get_str("t_rule", "fixed:1000"))
+    rule_text = config.get_str("t_rule", "fixed:1000")
+    t_rule = parse_t_rule(rule_text)
     budget_per_surface = config.get_int("budget_per_surface", 1000)
     noise = _noise_model(config)
     if trials < 1:
         raise ConfigError("trials must be positive")
     if n < 1:
         raise ConfigError(f"elements must be positive, got {n}")
+    if "csm" in methods:
+        t_csm = _samples_per_surface(t_rule, rule_text, n, scenario.levels)
 
     def one_trial(trial: int) -> list:
         graph, grids, params = realize_scenario(scenario, seed, trial, n)
         L = scenario.num_surfaces
-        t_csm = t_rule(n)
         out = []
         for method in methods:
             rng = derive_rng(seed, trial, TAG_SAMPLING, COMPARE_METHODS.index(method))
@@ -537,21 +566,9 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
                 res = sequential_csm(graph, grids, t_csm, params, noise, rng)
             else:
                 res = sequential_cpp_oracle(graph, grids, params)
-            boost = snr_boost(graph, res.assignment, params)
-            kind = "boost_linear" if boost.mode == "ratio" else "power_watts"
-            out.append(RunRecord(
-                experiment="compare",
-                seed=seed,
-                trial=trial,
-                method=method,
-                num_surfaces=L,
-                num_elements=n,
-                levels=_levels_label(grids),
-                samples=res.evaluations,
-                metric_kind=kind,
-                metric_value=boost.value,
-                wall_s=time.perf_counter() - start,
-            ))
+            out.append(_record("compare", seed, trial, method, grids, n, res.evaluations,
+                               *_boost_metric(graph, res.assignment, params),
+                               wall_s=time.perf_counter() - start))
         return out
 
     per_trial = _map_ordered(one_trial, list(range(trials)), threads)
@@ -601,12 +618,11 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     if trials < 1 or not etas:
         raise ConfigError("trials and eta_sweep must be nonempty and positive")
     grids = _grids_for(levels, L)
-    grids2 = as_grids(levels[0], 2)
+    set_grids = {"C": as_grids(levels[0], 2), "Cprime": as_grids(levels[0], 2), "D": grids}
 
     def one_case(key) -> list:
         eta_idx, trial = key
         eta = etas[eta_idx]
-        out = []
 
         def tensor_for(num_surfaces: int, tag_shift: int):
             geometry = place_random(
@@ -624,24 +640,13 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
         tensor_l = tensor_for(L, 0)
         tensor_2 = tensor_l if L == 2 else tensor_for(2, 1)
         verdicts = {
-            "C": check_c_conditions(tensor_2, grids2).passed,
-            "Cprime": check_cprime(tensor_2, grids2, continuous=True).passed,
+            "C": check_c_conditions(tensor_2, set_grids["C"]).passed,
+            "Cprime": check_cprime(tensor_2, set_grids["Cprime"], continuous=True).passed,
             "D": check_d_conditions(tensor_l, grids).passed,
         }
-        for name in CONDITION_SETS:
-            out.append(RunRecord(
-                experiment=f"conditions:eta={eta:g}",
-                seed=seed,
-                trial=trial,
-                method=name,
-                num_surfaces=2 if name in ("C", "Cprime") else L,
-                num_elements=n,
-                levels=_levels_label(grids2 if name in ("C", "Cprime") else grids),
-                samples=0,
-                metric_kind="satisfied",
-                metric_value=1.0 if verdicts[name] else 0.0,
-            ))
-        return out
+        return [_record(f"conditions:eta={eta:g}", seed, trial, name, set_grids[name], n, 0,
+                        "satisfied", 1.0 if verdicts[name] else 0.0)
+                for name in CONDITION_SETS]
 
     keys = [(e, t) for e in range(len(etas)) for t in range(trials)]
     per_case = _map_ordered(one_case, keys, threads)
@@ -653,18 +658,8 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
             vals = [r.metric_value for r in records
                     if r.experiment == exp_name and r.method == name]
             frac = float(np.mean(vals))
-            records.append(RunRecord(
-                experiment=exp_name,
-                seed=seed,
-                trial=-1,
-                method=name,
-                num_surfaces=2 if name in ("C", "Cprime") else L,
-                num_elements=n,
-                levels=_levels_label(grids2 if name in ("C", "Cprime") else grids),
-                samples=trials,
-                metric_kind="fraction",
-                metric_value=frac,
-            ))
+            records.append(_record(exp_name, seed, -1, name, set_grids[name], n, trials,
+                                   "fraction", frac))
             report.append(f"eta={eta:g} set={name} fraction={frac:.4f}")
     summary = [f"# conditions,{line.replace(' ', ',')}" for line in report]
     summary.append(
@@ -714,18 +709,8 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
                         )
                 power = res.stage_powers[-1]
                 powers.append(power)
-                records.append(RunRecord(
-                    experiment="examples",
-                    seed=seed,
-                    trial=0,
-                    method=method,
-                    num_surfaces=2,
-                    num_elements=n,
-                    levels=_levels_label(fx.grids),
-                    samples=0,
-                    metric_kind="power_watts",
-                    metric_value=power,
-                ))
+                records.append(_record("examples", seed, 0, method, fx.grids, n, 0,
+                                       "power_watts", power))
             exponent = 2 if variant == "bad" else 4
             for (n1, p1), (n2, p2) in zip(zip(n_list, powers), zip(n_list[1:], powers[1:])):
                 expected = (n2 / n1) ** exponent
@@ -773,18 +758,8 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
         gamma = inst.report.gamma_min if inst.report is not None else 0.0
         res = sequential_cpp_oracle(inst.tensor, grids, params)
         rep = lemma1_verify(inst.tensor, inst.factors, grids, res.assignment, gamma)
-        record = RunRecord(
-            experiment="lemma-check",
-            seed=seed,
-            trial=trial,
-            method="cpp",
-            num_surfaces=L,
-            num_elements=n,
-            levels=_levels_label(grids),
-            samples=0,
-            metric_kind="deviation_rad",
-            metric_value=rep.max_deviation,
-        )
+        record = _record("lemma-check", seed, trial, "cpp", grids, n, 0, "deviation_rad",
+                         rep.max_deviation)
         return record, rep.all_ok, rep.violations
 
     results = _map_ordered(one_trial, list(range(trials)), threads)

@@ -189,6 +189,8 @@ def load_adjacency(path=None) -> PropagationMap:
         line = line.split("#", 1)[0].strip()
         if line:
             rows.append([int(tok) for tok in line.split()])
+    if any(v not in (0, 1) for row in rows for v in row):
+        raise ValueError("adjacency entries must be 0 or 1")
     return PropagationMap(np.asarray(rows, dtype=bool))
 
 

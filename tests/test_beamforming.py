@@ -9,10 +9,8 @@ from blindbeam import (
     PhaseAssignment,
     PhaseGrid,
     RadioParams,
-    SampleBatch,
     as_grids,
     build_example,
-    conditional_sample_mean,
     cpp_decide,
     csm_decide,
     effective_channel,
@@ -26,6 +24,7 @@ from blindbeam import (
     wrap_angle,
     zero_phase_baseline,
 )
+from blindbeam.beamforming import _GroupSums
 from conftest import random_graph, random_tensor
 
 P1 = RadioParams(transmit_power_w=1.0)
@@ -46,8 +45,9 @@ class TestCsmTable:
         grid = PhaseGrid(2)
         idx = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         g = 1.0 + np.exp(1j * grid.omega * idx) @ np.array([1.0, 1.0j])
-        batch = SampleBatch(idx, np.abs(g) ** 2)
-        table = conditional_sample_mean(batch, grid)
+        groups = _GroupSums(2, grid.num_levels)
+        groups.add(idx, np.abs(g) ** 2)
+        table = groups.table()
         assert np.allclose(table.means[0], [5.0, 1.0])
         assert np.allclose(table.means[1], [3.0, 3.0])
         assert np.all(table.counts == 2)
@@ -67,9 +67,10 @@ class TestCsmTable:
         assert np.array_equal(a, b)
 
     def test_empty_group_is_named(self):
-        batch = SampleBatch(np.array([[0], [0]]), np.array([1.0, 2.0]))
+        groups = _GroupSums(1, 2)
+        groups.add(np.array([[0], [0]]), np.array([1.0, 2.0]))
         with pytest.raises(EmptyGroupError) as exc:
-            conditional_sample_mean(batch, PhaseGrid(2))
+            groups.table()
         assert exc.value.element == 0 and exc.value.phase_index == 1
         assert "element 1" in str(exc.value)
 

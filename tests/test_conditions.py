@@ -22,7 +22,6 @@ from blindbeam import (
     make_d_instance,
     recover_full_path_factors,
     sequential_cpp_oracle,
-    theta_hat_star,
     theta_hat_star_all,
     wrap_angle,
 )
@@ -356,7 +355,7 @@ def brute_force_theta_targets(tensor, decided, ell):
 
 
 class TestIdealPhaseTargets:
-    @pytest.mark.parametrize("num_surfaces", [2, 3])
+    @pytest.mark.parametrize("num_surfaces", [2, 3, 4])
     def test_matches_brute_force(self, num_surfaces, rng):
         n = 3
         shape = (n + 1,) * num_surfaces
@@ -403,20 +402,6 @@ class TestIdealPhaseTargets:
         decided = PhaseAssignment(as_grids(4, 2), (np.zeros(3, dtype=np.int64),) * 2)
         with pytest.raises(ValueError, match="element 1"):
             theta_hat_star_all(t, factors, decided, 0)
-
-    def test_single_element_accessor(self, rng):
-        n = 3
-        t = CascadedChannelTensor(unit_phases(rng, (n + 1, n + 1)))
-        factors = RankOneFactors.from_raw([unit_phases(rng, n), unit_phases(rng, n)])
-        decided = PhaseAssignment(as_grids(4, 2), (np.zeros(n, dtype=np.int64),) * 2)
-        all_targets = theta_hat_star_all(t, factors, decided, 0)
-        for m in range(1, n + 1):
-            assert theta_hat_star(t, factors, decided, 0, m) == pytest.approx(
-                all_targets[m - 1])
-        with pytest.raises(ValueError):
-            theta_hat_star(t, factors, decided, 0, 0)
-        with pytest.raises(ValueError):
-            theta_hat_star(t, factors, decided, 0, n + 1)
 
     def test_surface_index_validated(self, rng):
         t = CascadedChannelTensor(unit_phases(rng, (3, 3)))

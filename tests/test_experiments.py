@@ -38,6 +38,16 @@ from blindbeam.cli import main
 from blindbeam.experiments import RUNNERS, sort_records
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m blindbeam ARGV` in a fresh interpreter, so a traceback
+    shows on stderr exactly as a user would see it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "blindbeam", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def cfg(**kwargs) -> ExperimentConfig:
     return ExperimentConfig.merge(None, kwargs)
 
@@ -374,6 +384,16 @@ class TestConditionsRunner:
         assert agg.metric_kind == "fraction"
         assert agg.samples == 4
 
+    def test_rows_carry_each_sets_surfaces_and_levels(self):
+        # C and C' are checked on a two-surface draw at the first level count,
+        # D on the configured three surfaces with their own level counts
+        result = run_conditions_probability(
+            cfg(surfaces=3, elements=4, levels="8,6,4", trials=1, eta_sweep="0.5"))
+        assert len(result.records) == 2 * 3
+        for r in result.records:
+            want = (3, "8|6|4") if r.method == "D" else (2, "8")
+            assert (r.num_surfaces, r.levels) == want
+
     def test_continuity_note_present(self):
         result = run_conditions_probability(cfg(trials=1, elements=4, eta_sweep="0.5"))
         assert any("idealization" in line for line in result.summary_lines)
@@ -444,11 +464,11 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_empty_csm_group_exits_two(self, tmp_path, capsys):
-        # two probes cannot fill the 4 phase bins of any element
+        # four probes over 4 phase bins and 100 elements leave some bin empty
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["compare", "--t-rule", "fixed:2", "--trials", "1",
+            rc = main(["compare", "--t-rule", "fixed:4", "--trials", "1",
                        "--methods", "csm", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -468,6 +488,12 @@ class TestCli:
                    "--growth-rel-tol", "0.2"])
         assert rc == 0
         capsys.readouterr()
+
+    def test_bad_power_in_config_file_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("power_dbm = nan\n")
+        assert main(["scaling", "--config", str(cfg_path), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "config error: transmit power must be positive\n"
 
     def test_lemma_check_quick_run(self, tmp_path, capsys):
         jout = tmp_path / "l.json"
@@ -515,18 +541,57 @@ class TestCli:
         (["scaling", "--levels", "2"], "grids [2, 2] violate the resolution"),
         (["lemma-check", "--leakage-margin", "1.5"], "leakage_margin must lie in (0, 1]"),
         (["scaling", "--leakage-margin", "-1"], "leakage_margin must lie in [0, 1]"),
+        (["scaling", "--t-rule", "theory:1", "--n-sweep", "1,2,3", "--methods", "csm"],
+         "t_rule theory:1 gives T=1 samples per surface at N=1, fewer than K=4 phase levels"),
+        (["scaling", "--t-rule", "fixed:5", "-K", "4,6", "--n-sweep", "4,6,8"],
+         "t_rule fixed:5 gives T=5 samples per surface at N=4, fewer than K=6 phase levels"),
+        (["compare", "--t-rule", "fixed:3", "--methods", "zero,csm"],
+         "t_rule fixed:3 gives T=3 samples per surface at N=100, fewer than K=4 phase levels"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
-            "lemma-margin-1.5", "scaling-margin-neg"])
+            "lemma-margin-1.5", "scaling-margin-neg", "scaling-t-rule-below-k",
+            "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k"])
     def test_out_of_range_values_exit_two_without_traceback(self, argv, message):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "blindbeam", *argv, "--trials", "1"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_module(*argv, "--trials", "1")
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"config error: {message}")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("line, message", [
+        ("angles = fixed_deg:abc", "angles 'fixed_deg:abc' needs a finite number"),
+        ("propagation = adjacency:{missing}", "propagation 'adjacency:"),
+        ("propagation = adjacency:{ragged}", "propagation 'adjacency:"),
+        ("propagation = adjacency:{two}", "adjacency entries must be 0 or 1"),
+        ("spacing = -1", "spacing and wavelength must be positive"),
+        ("placement = random_staircase\nwavelength = 0",
+         "spacing and wavelength must be positive"),
+        ("tx = 10,0", "scenario geometry: all pairwise node distances must be positive"),
+        ("noise_dbm = nan", "noise power must be nonnegative"),
+    ], ids=["angle-not-a-number", "adjacency-missing", "adjacency-ragged", "adjacency-entry-2",
+            "spacing-negative", "random-placement-wavelength-zero", "surface-on-transmitter",
+            "noise-power-nan"])
+    def test_bad_scenario_file_exits_two_without_traceback(self, tmp_path, line, message):
+        ragged = tmp_path / "ragged.txt"
+        ragged.write_text("0 1\n1\n")
+        two = tmp_path / "two.txt"
+        two.write_text("0 0 2\n0 0 0\n2 0 0\n")
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("surfaces = 1\nelements = 4\nsurface1 = 10,0\n"
+                            + line.format(missing=tmp_path / "missing.txt", ragged=ragged,
+                                          two=two)
+                            + "\n")
+        proc = run_module("compare", "--scenario", str(scenario), "--methods", "zero",
+                          "--trials", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_t_rule_below_levels_is_fine_without_csm(self, tmp_path):
+        out = tmp_path / "z.csv"
+        assert main(["compare", "--t-rule", "fixed:3", "--methods", "zero", "-N", "8",
+                     "--trials", "1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("compare,0,0,zero,2,8,4,0,")
 
     def test_csv_outputs_are_byte_identical_across_threads(self, tmp_path):
         paths = []

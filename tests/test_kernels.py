@@ -1,5 +1,6 @@
 """Property tests for the array kernels against per-entry reference oracles:
-tensor expansion, CSM grouping, the phase lookup table and the leakage sums."""
+tensor expansion, the dense contraction, CSM grouping, the phase lookup table
+and the leakage sums."""
 
 import warnings
 
@@ -14,13 +15,14 @@ from blindbeam import (
     LinkChannelGraph,
     PhaseAssignment,
     PhaseGrid,
-    SampleBatch,
-    conditional_sample_mean,
+    as_grids,
     expand_links_to_tensor,
+    stage_coefficients,
 )
+from blindbeam.channel import effective_batch
 from blindbeam.beamforming import _GroupSums
 from blindbeam.conditions import _leakage_sums, leakage_abs_sum
-from conftest import IndexSetSpec, expand_links_oracle
+from conftest import IndexSetSpec, brute_force_gain, expand_links_oracle
 
 kernel_settings = settings(deadline=None, max_examples=60)
 seeds = st.integers(0, 2**32 - 1)
@@ -62,6 +64,41 @@ def test_expansion_matches_per_entry_oracle(graph):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def _stage_oracle(entries, phases, ell):
+    """[c0, c_1, ..., c_N] by summing every index tuple into the slot of its
+    surface-ell index, with the other surfaces' phases applied."""
+    out = np.zeros(entries.shape[ell], dtype=complex)
+    for tup in np.ndindex(entries.shape):
+        phase = sum(phases.phase_values(i)[k - 1]
+                    for i, k in enumerate(tup) if k > 0 and i != ell)
+        out[tup[ell]] += entries[tup] * np.exp(1j * phase)
+    return out
+
+
+@kernel_settings
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=4), st.integers(1, 3), seeds)
+def test_dense_contraction_matches_path_sums(levels, n, seed):
+    """Dense stage coefficients and effective_batch, with a different grid
+    per surface, against explicit sums over every index tuple."""
+    rng = np.random.default_rng(seed)
+    L = len(levels)
+    grids = as_grids(levels, L)
+    tensor = CascadedChannelTensor(_complex(rng, (n + 1,) * L))
+    atol = 1e-12 * np.abs(tensor.entries).sum()
+    batch = [rng.integers(0, k, size=(3, n)) for k in levels]
+    gains = effective_batch(tensor, grids, batch)
+    assert gains.shape == (3,)
+    for row, gain in enumerate(gains):
+        phases = PhaseAssignment(grids, tuple(idx[row] for idx in batch))
+        assert np.isclose(gain, brute_force_gain(tensor, phases), rtol=1e-12, atol=atol)
+        for ell in range(L):
+            c0, c = stage_coefficients(tensor, phases, ell)
+            assert c.shape == (n,)
+            assert np.allclose(np.concatenate(([c0], c)),
+                               _stage_oracle(tensor.entries, phases, ell),
+                               rtol=1e-12, atol=atol)
+
+
 def _naive_grouping(chunks, num_elements, num_levels):
     """Per-column, per-bin Python sums; each chunk's partial sums are added
     to the running totals, as the chunked accumulator does."""
@@ -98,15 +135,17 @@ def test_flat_bincount_matches_naive_grouping(n, k, chunk_sizes, seed):
 @given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 60), seeds)
 def test_conditional_sample_mean_matches_naive_means(n, k, t, seed):
     rng = np.random.default_rng(seed)
-    batch = SampleBatch(rng.integers(0, k, size=(t, n)), rng.random(t))
-    sums, counts = _naive_grouping([(batch.indices, batch.powers)], n, k)
+    idx, powers = rng.integers(0, k, size=(t, n)), rng.random(t)
+    sums, counts = _naive_grouping([(idx, powers)], n, k)
+    groups = _GroupSums(n, k)
+    groups.add(idx, powers)
     if np.any(counts == 0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmptyGroupError):
-                conditional_sample_mean(batch, PhaseGrid(k))
+                groups.table()
         return
-    table = conditional_sample_mean(batch, PhaseGrid(k))
+    table = groups.table()
     assert np.array_equal(table.counts, counts)
     assert np.array_equal(table.means, sums / counts)
 
