@@ -8,14 +8,14 @@ condition checkers that predict when the blind scheme reaches its full
 power scaling, and a reproducible experiment runner.
 """
 
+from types import ModuleType as _ModuleType
+
 from .beamforming import (
     BeamformingResult,
     CsmTable,
     EmptyGroupError,
     cpp_decide,
     csm_decide,
-    exact_csm_small,
-    exhaustive_search,
     generate_samples,
     random_beamforming,
     sequential_cpp_oracle,
@@ -32,8 +32,6 @@ from .channel import (
     RadioParams,
     SnrBoost,
     averaged,
-    channel_from_json_dict,
-    channel_to_json_dict,
     direct_gain,
     dims,
     effective_channel,
@@ -104,4 +102,5 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -19,8 +19,6 @@ samples_per_surface measurements per surface, L * T total.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,9 +36,6 @@ from .channel import (
     stage_coefficients,
 )
 from .phases import PhaseAssignment, PhaseGrid, as_grids, wrap_angle
-
-# Keep exhaustive per-stage enumeration honest but bounded.
-MAX_EXACT_CONFIGS = 10**6
 
 # Measurement chunk size for large sample counts.
 _CHUNK = 1 << 16
@@ -139,16 +134,6 @@ class BeamformingResult:
     evaluations: int
     reflect_to_direct: Optional[tuple] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "assignment": self.assignment.to_json_dict(),
-            "stage_powers": list(self.stage_powers),
-            "evaluations": self.evaluations,
-            "reflect_to_direct": None if self.reflect_to_direct is None
-            else list(self.reflect_to_direct),
-        }
-
 
 def generate_samples(num_elements: int, grid: PhaseGrid, num_samples: int, rng) -> np.ndarray:
     """Uniform i.i.d. phase indices, shape (T, N)."""
@@ -169,26 +154,16 @@ def csm_decide(table: CsmTable, rel_tol: float = 1e-9) -> np.ndarray:
     return np.argmax(means >= thresh[:, None], axis=1).astype(np.int64)
 
 
-def cpp_decide(direct_eff: complex, reflected_eff: complex, grid: PhaseGrid,
-               tol: float = 1e-12) -> int:
-    """Closest grid point to the phase that aligns a reflected path with the
-    rest of the signal.
+def cpp_decide(c0: complex, c: np.ndarray, grid: PhaseGrid,
+               tol: float = 1e-12) -> np.ndarray:
+    """Closest grid point to the phase that aligns each reflected path with
+    the rest of the signal, shape (N,) int64.
 
-    The ideal continuous phase is angle(direct_eff) - angle(reflected_eff);
-    the decision is the grid index minimizing the wrapped distance to it.
-    Zero aggregates take angle 0, and a zero reflected path returns index 0.
-    Near-exact ties (within tol radians) go to the smallest index.
+    The ideal continuous phase of element n is angle(c0) - angle(c[n]); its
+    decision is the grid index minimizing the wrapped distance to it.  A zero
+    c0 takes angle 0, and a zero c[n] returns index 0.  Near-exact ties
+    (within tol radians) go to the smallest index.
     """
-    if reflected_eff == 0:
-        return 0
-    target = np.angle(direct_eff) - np.angle(reflected_eff)
-    dist = np.abs(wrap_angle(grid.values() - target))
-    return int(np.argmax(dist <= dist.min() + tol))
-
-
-def _cpp_decide_vector(c0: complex, c: np.ndarray, grid: PhaseGrid,
-                       tol: float = 1e-12) -> np.ndarray:
-    """cpp_decide applied to every element of a stage at once."""
     target = np.angle(complex(c0)) - np.angle(c)
     dist = np.abs(wrap_angle(grid.values()[None, :] - target[:, None]))
     picks = np.argmax(dist <= dist.min(axis=1, keepdims=True) + tol, axis=1)
@@ -275,35 +250,6 @@ def sequential_csm(channel: Channel, grids, samples_per_surface,
     return _sequential("csm", channel, grids, params, decide)
 
 
-def exact_csm_small(channel: Channel, grids) -> BeamformingResult:
-    """Sequential optimizer using exact conditional means.
-
-    Each stage enumerates every joint phase configuration of its surface
-    (K^N of them, capped), computes noiseless powers at unit transmit power,
-    and applies the same per-element argmax as the sampled scheme.  Decisions
-    are invariant to the power scale.
-    """
-    n = dims(channel)[1]
-    params = RadioParams(transmit_power_w=1.0)
-
-    def decide(ell, grid, c0, c):
-        k = grid.num_levels
-        total = k**n
-        if total > MAX_EXACT_CONFIGS:
-            raise ValueError(
-                f"exact enumeration needs {total} configurations for surface "
-                f"{ell + 1}, above the {MAX_EXACT_CONFIGS} cap"
-            )
-        # decode 0..K^N-1 into mixed-radix index rows, most significant first
-        codes = np.arange(total)
-        idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
-        groups = _GroupSums(n, k)
-        groups.add(idx, received_power(c0 + grid.factor_table()[idx] @ c, params))
-        return csm_decide(groups.table()), total
-
-    return _sequential("exact_csm", channel, grids, params, decide)
-
-
 def sequential_cpp_oracle(channel: Channel, grids,
                           params: Optional[RadioParams] = None) -> BeamformingResult:
     """Perfect-knowledge reference: per stage, project the ideal aligning
@@ -314,7 +260,7 @@ def sequential_cpp_oracle(channel: Channel, grids,
     decisions applied; elements with a zero path coefficient stay at index 0.
     """
     return _sequential("cpp", channel, grids, params or RadioParams(),
-                       lambda ell, grid, c0, c: (_cpp_decide_vector(c0, c, grid), 0))
+                       lambda ell, grid, c0, c: (cpp_decide(c0, c, grid), 0))
 
 
 def random_beamforming(channel: Channel, grids, budget: int,
@@ -408,25 +354,3 @@ def virtual_single_irs(channel: Channel, grids, total_samples: int,
         stage_powers=(final,),
         evaluations=total_samples,
     )
-
-
-def exhaustive_search(channel: Channel, grids, params: Optional[RadioParams] = None):
-    """Global optimum by full enumeration of all K^(L*N) joint assignments.
-
-    Only feasible for tiny systems; used as a reference ceiling.  Returns
-    (assignment, noiseless power).
-    """
-    L, n = dims(channel)
-    grids = as_grids(grids, L)
-    params = params or RadioParams()
-    total = math.prod(g.num_levels**n for g in grids)
-    if total > MAX_EXACT_CONFIGS:
-        raise ValueError(f"{total} joint assignments exceed the enumeration cap")
-    best = (-1.0, None)
-    per_surface = [list(itertools.product(range(g.num_levels), repeat=n)) for g in grids]
-    for combo in itertools.product(*per_surface):
-        assignment = PhaseAssignment(grids, tuple(np.asarray(c, dtype=np.int64) for c in combo))
-        p = received_power(effective_channel(channel, assignment), params)
-        if p > best[0]:
-            best = (p, assignment)
-    return best[1], best[0]

@@ -478,66 +478,3 @@ def snr_boost(channel: Channel, phases: PhaseAssignment, params: RadioParams) ->
     if d == 0:
         return SnrBoost(abs(g) ** 2 * params.transmit_power_w, "absolute_power")
     return SnrBoost(abs(g) ** 2 / abs(d) ** 2, "ratio")
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization.  Complex scalars encode as [re, im]; arrays as nested
-# lists of such pairs.
-
-
-def _c2p(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _arr_to_json(a: np.ndarray):
-    if a.ndim == 0:
-        return _c2p(a[()])
-    return [_arr_to_json(x) for x in a]
-
-
-def _arr_from_json(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim < 1 or a.shape[-1] != 2:
-        raise ValueError("complex array JSON must have [re, im] leaves")
-    return a[..., 0] + 1j * a[..., 1]
-
-
-def channel_to_json_dict(channel: Channel) -> dict:
-    if isinstance(channel, CascadedChannelTensor):
-        return {
-            "type": "cascaded_tensor",
-            "num_surfaces": channel.num_surfaces,
-            "num_elements": channel.num_elements,
-            "entries": _arr_to_json(channel.entries),
-        }
-    return {
-        "type": "link_graph",
-        "num_surfaces": channel.num_surfaces,
-        "num_elements": channel.num_elements,
-        "tx_to_rx": _c2p(channel.tx_to_rx),
-        "tx_to_irs": [_arr_to_json(v) for v in channel.tx_to_irs],
-        "irs_to_rx": [_arr_to_json(v) for v in channel.irs_to_rx],
-        "irs_to_irs": [
-            {"from": i, "to": j, "matrix": _arr_to_json(m)}
-            for (i, j), m in sorted(channel.irs_to_irs.items())
-        ],
-    }
-
-
-def channel_from_json_dict(d: dict) -> Channel:
-    kind = d.get("type")
-    if kind == "cascaded_tensor":
-        return CascadedChannelTensor(_arr_from_json(d["entries"]))
-    if kind == "link_graph":
-        return LinkChannelGraph(
-            tx_to_irs=tuple(_arr_from_json(v) for v in d["tx_to_irs"]),
-            irs_to_rx=tuple(_arr_from_json(v) for v in d["irs_to_rx"]),
-            irs_to_irs={
-                (e["from"], e["to"]): _arr_from_json(e["matrix"])
-                for e in d.get("irs_to_irs", [])
-            },
-            tx_to_rx=complex(*d.get("tx_to_rx", [0.0, 0.0])),
-        )
-    raise ValueError(f"unknown channel JSON type {kind!r}")
-

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .beamforming import EmptyGroupError
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_known_keys
 from .experiments import RUNNERS, write_csv, write_json
 
 
@@ -93,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 _SKIP_DESTS = {"command", "config", "out", "json_out", "timing"}
 
+# config-file keys a runner reads that have no flag
+_FILE_ONLY_KEYS = {"scaling": {"power_dbm", "noise_dbm"}}
+
 
 def _overrides(args: argparse.Namespace) -> dict:
     out = {}
@@ -107,6 +110,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.merge(args.config, _overrides(args))
+        # overrides are flag destinations, so only a file key can be unknown
+        check_known_keys(config.values, (set(vars(args)) - _SKIP_DESTS)
+                         | _FILE_ONLY_KEYS.get(args.command, set()), args.config)
         result = RUNNERS[args.command](config)
     except (ConfigError, EmptyGroupError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -223,24 +223,6 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(self.subconditions.values())
 
-    def to_json_dict(self) -> dict:
-        def num(x):
-            if x is None:
-                return None
-            x = float(x)
-            return x if math.isfinite(x) else None
-
-        return {
-            "condition_set": self.condition_set,
-            "passed": self.passed,
-            "subconditions": {k: bool(v) for k, v in self.subconditions.items()},
-            "gamma_min": num(self.gamma_min),
-            "gamma_upper": num(self.gamma_upper),
-            "delta": None if self.delta is None else [float(d) for d in self.delta],
-            "margins": {k: num(v) for k, v in self.margins.items()},
-            "notes": list(self.notes),
-        }
-
 
 def _require_tensor(channel) -> CascadedChannelTensor:
     if not isinstance(channel, CascadedChannelTensor):
@@ -261,18 +243,12 @@ def gamma_min_double(tensor: CascadedChannelTensor):
         raise ValueError("gamma_min_double needs exactly two surfaces")
     one_hop = np.abs(t.entries[1:, 0])
     row_sums = np.abs(t.entries[1:, 1:].sum(axis=1))
-    n = one_hop.size
-    ratios = np.zeros(n)
-    feasible = True
-    for m in range(n):
-        if one_hop[m] == 0.0:
-            ratios[m] = 0.0
-        elif row_sums[m] == 0.0 or one_hop[m] > row_sums[m]:
-            ratios[m] = math.inf
-            feasible = False
-        else:
-            ratios[m] = one_hop[m] / row_sums[m]
-    if not feasible:
+    # a nonzero one-hop coefficient on a zero row sum also exceeds it
+    infeasible = one_hop > row_sums
+    ratios = np.divide(one_hop, row_sums, out=np.zeros_like(one_hop),
+                       where=(one_hop != 0.0) & ~infeasible)
+    ratios[infeasible] = math.inf
+    if infeasible.any():
         return None, ratios
     return float(np.arcsin(ratios.max())), ratios
 
@@ -514,15 +490,6 @@ class Lemma1Report:
     gamma: float
     per_surface: tuple
     violations: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_ok": self.all_ok,
-            "max_deviation": self.max_deviation,
-            "gamma": self.gamma,
-            "per_surface": [dict(d) for d in self.per_surface],
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 def lemma1_verify(channel: Channel, factors: RankOneFactors, grids,

@@ -40,12 +40,20 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def check_known_keys(values: dict, known, path):
+    """Raise ConfigError naming the first key read from the file `path` that
+    is not in `known`, so a misspelt key never falls back to a default."""
+    unknown = [key for key in values if key not in known]
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Merged configuration with typed accessors.
 
-    `values` maps string keys to string values; accessors parse on demand so
-    unknown keys are tolerated until something reads them.
+    `values` maps string keys to string values; accessors parse on demand.
+    The CLI and scenario loader reject unknown keys with check_known_keys.
     """
 
     values: dict = field(default_factory=dict)

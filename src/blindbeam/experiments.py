@@ -36,8 +36,9 @@ from .channel import (
     snr_boost,
 )
 from .conditions import check_c_conditions, check_cprime, check_d_conditions, lemma1_verify
-from .config import ConfigError, ExperimentConfig, parse_config_file, parse_t_rule
-from .fixtures import build_example, check_d_grids, make_d_instance
+from .config import (ConfigError, ExperimentConfig, check_known_keys, parse_config_file,
+                     parse_t_rule)
+from .fixtures import build_example, check_d_grids, d_instance_a_max, make_d_instance
 from .phases import as_grids
 from .scenario import (
     AngleTable,
@@ -322,12 +323,10 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
              if "csm" in methods else {})
 
     def one_trial(trial: int) -> list:
-        # first pass: per-N feasibility ceilings with the trial's channel streams
-        a_caps = []
-        for n in n_list:
-            probe = make_d_instance(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL, n))
-            a_caps.append(probe.a_max)
-        a_common = margin * min(a_caps)
+        # per-N feasibility ceilings with the trial's channel streams
+        a_common = margin * min(
+            d_instance_a_max(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL, n))
+            for n in n_list)
         out = []
         for n in n_list:
             inst = make_d_instance(
@@ -392,12 +391,18 @@ def default_scenario_path() -> Path:
     return packaged_scenario_path("double_irs")
 
 
+_SCENARIO_KEYS = {"surfaces", "elements", "levels", "tx", "rx", "angles", "propagation",
+                  "placement", "zero_nlos", "power_dbm", "noise_dbm", "spacing", "wavelength"}
+
+
 def load_scenario(path) -> Scenario:
     cfg = ExperimentConfig(parse_config_file(path))
     L = cfg.get_int("surfaces")
     n = cfg.get_int("elements")
     if L < 1 or n < 1:
         raise ConfigError("surfaces and elements must be positive")
+    check_known_keys(cfg.values, _SCENARIO_KEYS | {f"surface{ell}" for ell in range(1, L + 1)},
+                     path)
     levels = cfg.get_int_list("levels", "4")
     grids = _grids_for(levels, L)
     spacing = cfg.get_float("spacing", 0.03)
@@ -755,7 +760,9 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     def one_trial(trial: int) -> tuple:
         inst = make_d_instance(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL),
                                margin=margin)
-        gamma = inst.report.gamma_min if inst.report is not None else 0.0
+        # a single surface has no leakage paths, so no margin angle is needed
+        gamma = (check_d_conditions(inst.tensor, grids, factors=inst.factors).gamma_min
+                 if L >= 2 else 0.0)
         res = sequential_cpp_oracle(inst.tensor, grids, params)
         rep = lemma1_verify(inst.tensor, inst.factors, grids, res.assignment, gamma)
         record = _record("lemma-check", seed, trial, "cpp", grids, n, 0, "deviation_rad",

@@ -18,13 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import CascadedChannelTensor
-from .conditions import (
-    ConditionReport,
-    RankOneFactors,
-    check_d_conditions,
-    margin_budget,
-    margin_rhs,
-)
+from .conditions import RankOneFactors, margin_budget, margin_rhs
 from .phases import PhaseGrid, as_grids
 
 EXAMPLE_IDS = (1, 2, 3)
@@ -144,9 +138,7 @@ class DInstance:
     every other entry is a_scale times a unit-modulus random phase, so the
     total leakage through any element is exactly a_scale times the count of
     its skip paths.  a_max is the largest leakage scale for which the margin
-    inequality still admits some angle; report is the condition check of the
-    built tensor (None for a single surface, where the conditions are
-    vacuous).
+    inequality still admits some angle.
     """
 
     tensor: CascadedChannelTensor
@@ -154,7 +146,6 @@ class DInstance:
     grids: tuple[PhaseGrid, ...]
     a_scale: float
     a_max: float
-    report: Optional[ConditionReport]
 
 
 # a single surface has no skip-path constraints; cap the leakage scale at the
@@ -164,6 +155,13 @@ _SINGLE_SURFACE_CAP = 1.0
 
 def _unit_phases(rng, shape) -> np.ndarray:
     return np.exp(2j * math.pi * rng.random(shape))
+
+
+def _draw_factors(num_surfaces: int, num_elements: int, rng) -> RankOneFactors:
+    """Unit-modulus factor vectors with i.i.d. uniform phases: the first draw
+    of every instance."""
+    return RankOneFactors.from_raw([_unit_phases(rng, num_elements)
+                                    for _ in range(num_surfaces)])
 
 
 def max_leakage_scale(num_surfaces: int, num_elements: int, grids,
@@ -204,6 +202,13 @@ def check_d_grids(grids):
         )
 
 
+def d_instance_a_max(num_surfaces: int, num_elements: int, grids, rng) -> float:
+    """The a_max of the instance make_d_instance would draw from this rng,
+    without building its tensor: the cap depends only on the factors."""
+    return max_leakage_scale(num_surfaces, num_elements, as_grids(grids, num_surfaces),
+                             _draw_factors(num_surfaces, num_elements, rng))
+
+
 def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
                     a_scale: Optional[float] = None,
                     margin: float = 0.5) -> DInstance:
@@ -222,7 +227,7 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
     check_d_grids(grids)
     if not (0.0 < margin <= 1.0):
         raise ValueError("margin must lie in (0, 1]")
-    factors = RankOneFactors.from_raw([_unit_phases(rng, n) for _ in range(L)])
+    factors = _draw_factors(L, n, rng)
     shape = (n + 1,) * L
     entries = _unit_phases(rng, shape)
     entries[(slice(1, None),) * L] = factors.outer_product()
@@ -241,9 +246,5 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
     skip_mask = np.ones(shape, dtype=bool)
     skip_mask[(slice(1, None),) * L] = False
     entries[skip_mask] *= a
-    tensor = CascadedChannelTensor(entries)
-    report = None
-    if L >= 2:
-        report = check_d_conditions(tensor, grids, factors=factors)
-    return DInstance(tensor=tensor, factors=factors, grids=grids,
-                     a_scale=a, a_max=a_max, report=report)
+    return DInstance(tensor=CascadedChannelTensor(entries), factors=factors, grids=grids,
+                     a_scale=a, a_max=a_max)

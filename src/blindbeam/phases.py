@@ -146,17 +146,6 @@ class PhaseAssignment:
                               dtype=np.int64)
         return PhaseAssignment(self.grids, tuple(new))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "levels": [g.num_levels for g in self.grids],
-            "indices": [idx.tolist() for idx in self.indices],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PhaseAssignment":
-        grids = tuple(PhaseGrid(k) for k in d["levels"])
-        return cls(grids, tuple(np.asarray(v, dtype=np.int64) for v in d["indices"]))
-
 
 def wrap_angle(x):
     """Wrap radians to (-pi, pi]."""

@@ -1,6 +1,6 @@
 """Shared test helpers: brute-force oracles kept deliberately dumb."""
 
-import sys
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -8,11 +8,21 @@ import numpy as np
 import pytest
 
 from blindbeam import (
+    BeamformingResult,
     CascadedChannelTensor,
     LinkChannelGraph,
     PhaseAssignment,
+    RadioParams,
     as_grids,
+    csm_decide,
+    dims,
+    effective_channel,
+    received_power,
 )
+from blindbeam.beamforming import _GroupSums, _sequential
+
+# Keep exhaustive enumeration honest but bounded.
+MAX_EXACT_CONFIGS = 10**6
 
 
 def brute_force_gain(tensor: CascadedChannelTensor, phases: PhaseAssignment) -> complex:
@@ -99,6 +109,57 @@ class IndexSetSpec:
             ):
                 continue
             yield tup
+
+
+def exact_csm_small(channel, grids) -> BeamformingResult:
+    """Sequential optimizer using exact conditional means.
+
+    Each stage enumerates every joint phase configuration of its surface
+    (K^N of them, capped), computes noiseless powers at unit transmit power,
+    and applies the same per-element argmax as the sampled scheme.  Decisions
+    are invariant to the power scale.
+    """
+    n = dims(channel)[1]
+    params = RadioParams(transmit_power_w=1.0)
+
+    def decide(ell, grid, c0, c):
+        k = grid.num_levels
+        total = k**n
+        if total > MAX_EXACT_CONFIGS:
+            raise ValueError(
+                f"exact enumeration needs {total} configurations for surface "
+                f"{ell + 1}, above the {MAX_EXACT_CONFIGS} cap"
+            )
+        # decode 0..K^N-1 into mixed-radix index rows, most significant first
+        codes = np.arange(total)
+        idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
+        groups = _GroupSums(n, k)
+        groups.add(idx, received_power(c0 + grid.factor_table()[idx] @ c, params))
+        return csm_decide(groups.table()), total
+
+    return _sequential("exact_csm", channel, grids, params, decide)
+
+
+def exhaustive_search(channel, grids, params=None):
+    """Global optimum by full enumeration of all K^(L*N) joint assignments.
+
+    Only feasible for tiny systems; used as a reference ceiling.  Returns
+    (assignment, noiseless power).
+    """
+    L, n = dims(channel)
+    grids = as_grids(grids, L)
+    params = params or RadioParams()
+    total = math.prod(g.num_levels**n for g in grids)
+    if total > MAX_EXACT_CONFIGS:
+        raise ValueError(f"{total} joint assignments exceed the enumeration cap")
+    best = (-1.0, None)
+    per_surface = [list(product(range(g.num_levels), repeat=n)) for g in grids]
+    for combo in product(*per_surface):
+        assignment = PhaseAssignment(grids, tuple(np.asarray(c, dtype=np.int64) for c in combo))
+        p = received_power(effective_channel(channel, assignment), params)
+        if p > best[0]:
+            best = (p, assignment)
+    return best[1], best[0]
 
 
 def random_tensor(rng, num_surfaces: int, num_elements: int) -> CascadedChannelTensor:

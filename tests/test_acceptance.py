@@ -25,7 +25,6 @@ from blindbeam import (
     default_scenario_path,
     derive_rng,
     effective_channel,
-    exact_csm_small,
     expand_links_to_tensor,
     load_scenario,
     realize_scenario,
@@ -41,7 +40,7 @@ from blindbeam import (
 from blindbeam.channel import CascadedChannelTensor
 from blindbeam.experiments import RUNNERS, TAG_SAMPLING
 
-from conftest import pass_line, random_assignment, random_graph
+from conftest import exact_csm_small, pass_line, random_assignment, random_graph
 
 
 def cfg(**kwargs) -> ExperimentConfig:
@@ -88,20 +87,20 @@ def test_criterion_02_exact_csm_equals_projection_on_single_surface():
         tensor = CascadedChannelTensor(entries)
         grid = PhaseGrid(k)
         got = exact_csm_small(tensor, (grid,)).assignment.indices[0]
+        want = cpp_decide(entries[0], entries[1:], grid)
         for m in range(1, n + 1):
-            want = cpp_decide(entries[0], entries[m], grid)
             checked += 1
-            if got[m - 1] == want:
+            if got[m - 1] == want[m - 1]:
                 continue
             # both rules rank phases by the same projection; a disagreement
             # is only legitimate at an exact tie of the top two values
             proj = np.real(np.conj(entries[0]) * entries[m]
-                           * np.exp(1j * grid.values))
+                           * np.exp(1j * grid.values()))
             top = np.sort(proj)[::-1]
             if top[0] - top[1] <= 1e-9 * max(1.0, abs(top[0])):
                 ties += 1
             else:
-                mismatches.append((m, int(got[m - 1]), want))
+                mismatches.append((m, int(got[m - 1]), int(want[m - 1])))
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 10.0
     pass_line("criterion 2", ok,
@@ -205,7 +204,7 @@ def test_criterion_08_blind_decisions_match_oracle_at_stated_budget():
         agree = []
         for ell in range(2):
             c0, c = stage_coefficients(graph, state, ell)
-            want = [cpp_decide(c0, c_n, grids[ell]) for c_n in c]
+            want = cpp_decide(c0, c, grids[ell])
             decided = blind.assignment.indices[ell]
             agree.append(np.mean(decided == want))
             state = state.with_stage(ell, decided)

@@ -14,8 +14,6 @@ from blindbeam import (
     cpp_decide,
     csm_decide,
     effective_channel,
-    exact_csm_small,
-    exhaustive_search,
     generate_samples,
     random_beamforming,
     sequential_cpp_oracle,
@@ -25,7 +23,7 @@ from blindbeam import (
     zero_phase_baseline,
 )
 from blindbeam.beamforming import _GroupSums
-from conftest import random_graph, random_tensor
+from conftest import exact_csm_small, exhaustive_search, random_graph, random_tensor
 
 P1 = RadioParams(transmit_power_w=1.0)
 
@@ -90,32 +88,47 @@ class TestCsmTable:
 class TestCppDecide:
     def test_projects_to_nearest_grid_point(self):
         grid = PhaseGrid(4)
-        assert cpp_decide(1.0, np.exp(-1j * np.pi / 3), grid) == 1
-        assert cpp_decide(1.0, -1.0, grid) == 2
-        assert cpp_decide(1.0, 1.0, grid) == 0
+        c = np.array([np.exp(-1j * np.pi / 3), -1.0, 1.0])
+        assert cpp_decide(1.0, c, grid).tolist() == [1, 2, 0]
 
     def test_exact_tie_takes_smallest(self):
         # target -pi/4 sits exactly between indices 0 and 3
-        assert cpp_decide(1.0, np.exp(1j * np.pi / 4), PhaseGrid(4)) == 0
+        assert cpp_decide(1.0, np.array([np.exp(1j * np.pi / 4)]), PhaseGrid(4)).tolist() == [0]
 
     def test_zero_reflected_stays_at_zero(self):
-        assert cpp_decide(1.0, 0.0, PhaseGrid(4)) == 0
+        # c0 = j would pull a zero path (angle 0) to index 1
+        assert cpp_decide(1j, np.array([0.0, -1.0, 0.0]), PhaseGrid(4)).tolist() == [0, 3, 0]
 
     def test_zero_direct_uses_angle_zero(self):
         # angle(0) = 0 reference: align the reflected path itself to zero
         grid = PhaseGrid(4)
-        assert cpp_decide(0.0, np.exp(-1j * np.pi / 2), grid) == 1
+        assert cpp_decide(0.0, np.array([np.exp(-1j * np.pi / 2)]), grid).tolist() == [1]
+
+    @pytest.mark.parametrize("k", [3, 4, 8])
+    def test_mixed_vector_in_one_call(self, k):
+        # c0 * e^{-j theta} has target theta: zero paths (which angle(c0) = 2
+        # would pull off index 0), exact ties half a step either side of
+        # index 0 and between 1 and 2, plain projections
+        grid = PhaseGrid(k)
+        w = grid.omega
+        c0 = 2.0 * np.exp(2j)
+        c = c0 * np.array([0.0, np.exp(-0.5j * w), np.exp(-2j * w), 0.0,
+                           np.exp(0.5j * w), 3.0 * np.exp(-1.5j * w), 0.5 * np.exp(-1j * w)])
+        got = cpp_decide(c0, c, grid)
+        assert got.dtype == np.int64
+        assert got.tolist() == [0, 0, 2, 0, 0, 1, 1]
+        # deciding one element at a time gives the same vector
+        assert [int(cpp_decide(c0, c[n:n + 1], grid)[0]) for n in range(c.size)] == got.tolist()
 
     def test_rounding_error_bound(self, rng):
         for k in (2, 3, 4, 8):
             grid = PhaseGrid(k)
-            for _ in range(50):
-                direct = rng.standard_normal() + 1j * rng.standard_normal()
-                refl = rng.standard_normal() + 1j * rng.standard_normal()
-                pick = cpp_decide(direct, refl, grid)
-                target = np.angle(direct) - np.angle(refl)
-                err = abs(wrap_angle(grid.phase(pick) - target))
-                assert err <= np.pi / k + 1e-12
+            direct = rng.standard_normal() + 1j * rng.standard_normal()
+            refl = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+            picks = cpp_decide(direct, refl, grid)
+            target = np.angle(direct) - np.angle(refl)
+            err = np.abs(wrap_angle(grid.phase(picks) - target))
+            assert np.all(err <= np.pi / k + 1e-12)
 
 
 class TestSequentialCsm:
@@ -198,13 +211,14 @@ class TestCppOracle:
         assert res.method == "cpp"
 
     def test_single_surface_matches_scalar_rule(self, rng):
+        # each element takes the grid phase that maximizes its projection
+        # Re(conj(c0) c_n e^{j theta}) onto the direct path
+        grid = PhaseGrid(4)
         for _ in range(20):
             coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            tensor = single_surface_tensor(coeffs)
-            grid = PhaseGrid(4)
-            res = sequential_cpp_oracle(tensor, grid, P1)
-            want = [cpp_decide(coeffs[0], coeffs[n], grid) for n in (1, 2, 3)]
-            assert res.assignment.indices[0].tolist() == want
+            res = sequential_cpp_oracle(single_surface_tensor(coeffs), grid, P1)
+            proj = np.real(np.conj(coeffs[0]) * coeffs[1:, None] * grid.factor_table())
+            assert res.assignment.indices[0].tolist() == np.argmax(proj, axis=1).tolist()
 
     def test_improves_over_zero_phases(self, rng):
         for _ in range(10):

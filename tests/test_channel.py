@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from blindbeam import (
     as_grids,
     averaged,
     build_example,
-    channel_from_json_dict,
-    channel_to_json_dict,
     direct_gain,
     effective_channel,
     expand_links_to_tensor,
@@ -218,17 +215,6 @@ class TestFactoredHops:
         assert np.allclose(expand_links_to_tensor(factored).entries,
                            expand_links_to_tensor(materialized).entries, rtol=1e-12, atol=0)
 
-    def test_json_round_trip(self, graphs, rng):
-        factored, _ = graphs
-        back = channel_from_json_dict(json.loads(json.dumps(channel_to_json_dict(factored))))
-        for pair, m in factored.irs_to_irs.items():
-            assert np.array_equal(back.hop(*pair), m)
-        L = factored.num_surfaces
-        grids = as_grids(4, L)
-        batch = [rng.integers(0, 4, size=(9, self.N)) for _ in range(L)]
-        assert np.allclose(effective_batch(back, grids, batch),
-                           effective_batch(factored, grids, batch), rtol=1e-12, atol=0)
-
     def test_rejects_bad_pairs(self):
         ones = np.ones(2, complex)
         for bad in ((ones,), (ones, ones, ones), (ones, np.ones(3, complex)),
@@ -348,21 +334,3 @@ class TestSnrBoost:
     def test_direct_gain_of_graph(self, rng):
         graph = random_graph(rng, 2, 2)
         assert direct_gain(graph) == graph.tx_to_rx
-
-
-class TestJsonRoundTrip:
-    def test_tensor(self, rng):
-        tensor = random_tensor(rng, 2, 3)
-        d = json.loads(json.dumps(channel_to_json_dict(tensor)))
-        back = channel_from_json_dict(d)
-        assert isinstance(back, CascadedChannelTensor)
-        assert np.allclose(back.entries, tensor.entries)
-
-    def test_graph(self, rng):
-        graph = random_graph(rng, 3, 2)
-        d = json.loads(json.dumps(channel_to_json_dict(graph)))
-        back = channel_from_json_dict(d)
-        assert isinstance(back, LinkChannelGraph)
-        a = random_assignment(rng, as_grids(4, 3), 2)
-        assert effective_channel(back, a) == pytest.approx(
-            effective_channel(graph, a))

@@ -27,11 +27,17 @@ from blindbeam import (
 )
 from blindbeam.channel import CascadedChannelTensor
 from blindbeam.conditions import margin_budget, margin_rhs
+from blindbeam.fixtures import d_instance_a_max
 from conftest import IndexSetSpec
 
 
 def unit_phases(rng, shape):
     return np.exp(2j * np.pi * rng.random(shape))
+
+
+def d_report(inst):
+    """The D-condition check of a generated instance, with its known factors."""
+    return check_d_conditions(inst.tensor, inst.grids, factors=inst.factors)
 
 
 class TestRankOne:
@@ -107,6 +113,26 @@ class TestGammaMinDouble:
         assert gamma == pytest.approx(math.asin(2.0 / n), abs=1e-12)
         assert np.allclose(ratios, 2.0 / n)
 
+    def test_mixed_rows_decide_per_element(self):
+        # rows: zero one-hop on a zero row sum, zero one-hop, ratio 1/2, and
+        # a one-hop equal to its row sum
+        e = np.zeros((5, 5), dtype=complex)
+        e[2, 1:3] = e[3, 1:3] = 1.0
+        e[3, 0] = 1.0
+        e[4, 0], e[4, 1:3] = 2j, 1j
+        gamma, ratios = gamma_min_double(CascadedChannelTensor(e))
+        assert ratios.tolist() == [0.0, 0.0, 0.5, 1.0]
+        assert gamma == math.pi / 2
+        # a nonzero one-hop on the zero row sum, then one above its row sum
+        e[1, 0] = 1.0
+        gamma, ratios = gamma_min_double(CascadedChannelTensor(e))
+        assert gamma is None
+        assert ratios.tolist() == [math.inf, 0.0, 0.5, 1.0]
+        e[1, 0], e[3, 0] = 0.0, 3.0
+        gamma, ratios = gamma_min_double(CascadedChannelTensor(e))
+        assert gamma is None
+        assert ratios.tolist() == [0.0, 0.0, math.inf, 1.0]
+
     def test_requires_two_surfaces(self, rng):
         t = CascadedChannelTensor(unit_phases(rng, (3, 3, 3)))
         with pytest.raises(ValueError):
@@ -146,10 +172,9 @@ class TestCConditions:
 
     def test_report_json_round_trip(self):
         report = check_c_conditions(build_example(3, "good", 9).tensor, 4)
-        d = report.to_json_dict()
-        assert d["passed"] is True
-        assert d["condition_set"] == "C"
-        assert set(d["subconditions"]) == {"c1", "c2", "c3"}
+        assert report.passed is True
+        assert report.condition_set == "C"
+        assert set(report.subconditions) == {"c1", "c2", "c3"}
 
 
 class TestCprimeConditions:
@@ -246,14 +271,13 @@ class TestIndexSets:
 
 class TestDConditions:
     def test_generated_instance_passes(self, rng):
-        inst = make_d_instance(2, 4, 4, rng)
-        assert inst.report.passed
-        assert inst.report.condition_set == "D"
-        assert 0.0 <= inst.report.gamma_min < inst.report.gamma_upper
+        report = d_report(make_d_instance(2, 4, 4, rng))
+        assert report.passed
+        assert report.condition_set == "D"
+        assert 0.0 <= report.gamma_min < report.gamma_upper
 
     def test_three_surfaces_pass_with_fine_leading_grids(self, rng):
-        inst = make_d_instance(3, 3, (8, 8, 4), rng)
-        assert inst.report.passed
+        assert d_report(make_d_instance(3, 3, (8, 8, 4), rng)).passed
 
     def test_margin_inequality_closed_form(self):
         # coherent sums 2, sqrt(2), 4 and absolute sums 2, 2, 4: later
@@ -275,9 +299,9 @@ class TestDConditions:
     @pytest.mark.parametrize("num_surfaces", [2, 3, 4])
     def test_two_l_levels_satisfy_budget(self, num_surfaces, rng):
         # K = 2L leaves a positive 1/K budget for every surface count
-        inst = make_d_instance(num_surfaces, 3, 2 * num_surfaces, rng)
-        assert inst.report.subconditions["d2"]
-        assert inst.report.passed
+        report = d_report(make_d_instance(num_surfaces, 3, 2 * num_surfaces, rng))
+        assert report.subconditions["d2"]
+        assert report.passed
 
     def test_flat_grids_fail_budget_at_three_surfaces(self, rng):
         inst = make_d_instance(3, 3, (8, 8, 4), rng)
@@ -287,9 +311,9 @@ class TestDConditions:
         assert not report.subconditions["d3"]
 
     def test_zero_leakage_scale_is_trivially_feasible(self, rng):
-        inst = make_d_instance(2, 4, 4, rng, a_scale=0.0)
-        assert inst.report.passed
-        assert inst.report.gamma_min == 0.0
+        report = d_report(make_d_instance(2, 4, 4, rng, a_scale=0.0))
+        assert report.passed
+        assert report.gamma_min == 0.0
 
     def test_agrees_with_double_surface_checks(self, rng):
         for _ in range(10):
@@ -417,7 +441,7 @@ class TestAlignmentBound:
             inst = make_d_instance(2, 5, 4, rng)
             result = sequential_cpp_oracle(inst.tensor, inst.grids)
             report = lemma1_verify(inst.tensor, inst.factors, inst.grids,
-                                   result.assignment, inst.report.gamma_min)
+                                   result.assignment, d_report(inst).gamma_min)
             assert report.all_ok, report.violations
 
     def test_three_surface_instances(self, rng):
@@ -425,7 +449,7 @@ class TestAlignmentBound:
             inst = make_d_instance(3, 3, (8, 8, 4), rng)
             result = sequential_cpp_oracle(inst.tensor, inst.grids)
             report = lemma1_verify(inst.tensor, inst.factors, inst.grids,
-                                   result.assignment, inst.report.gamma_min)
+                                   result.assignment, d_report(inst).gamma_min)
             assert report.all_ok, report.violations
 
     def test_zero_leakage_meets_rounding_bound(self, rng):
@@ -462,11 +486,10 @@ class TestAlignmentBound:
         inst = make_d_instance(2, 4, 4, rng)
         result = sequential_cpp_oracle(inst.tensor, inst.grids)
         report = lemma1_verify(inst.tensor, inst.factors, inst.grids,
-                               result.assignment, inst.report.gamma_min)
-        d = report.to_json_dict()
-        assert d["all_ok"] is True
-        assert len(d["per_surface"]) == 2
-        assert d["per_surface"][0]["surface"] == 1
+                               result.assignment, d_report(inst).gamma_min)
+        assert report.all_ok is True
+        assert len(report.per_surface) == 2
+        assert report.per_surface[0]["surface"] == 1
 
 
 class TestInstanceGenerator:
@@ -477,7 +500,14 @@ class TestInstanceGenerator:
         assert np.allclose(active, 1.0)
         skip = np.concatenate([mags[0, :], mags[1:, 0]])
         assert np.allclose(skip, inst.a_scale)
-        assert inst.report.delta == pytest.approx((1.0, 1.0))
+        assert d_report(inst).delta == pytest.approx((1.0, 1.0))
+
+    @pytest.mark.parametrize("num_surfaces, levels", [(1, 4), (2, 4), (3, (8, 8, 4))])
+    def test_a_max_without_the_tensor(self, num_surfaces, levels):
+        for seed in range(3):
+            inst = make_d_instance(num_surfaces, 5, levels, np.random.default_rng(seed))
+            assert d_instance_a_max(num_surfaces, 5, levels,
+                                    np.random.default_rng(seed)) == inst.a_max
 
     def test_default_scale_honors_margin(self, rng):
         inst = make_d_instance(2, 4, 4, rng, margin=0.25)
@@ -504,8 +534,11 @@ class TestInstanceGenerator:
             make_d_instance(2, 3, (4, 2), rng)
 
     def test_single_surface_has_no_report(self, rng):
+        # one surface has no leakage paths: the D check refuses it, and
+        # lemma-check takes gamma = 0 there
         inst = make_d_instance(1, 4, 4, rng)
-        assert inst.report is None
+        with pytest.raises(ValueError, match="at least two surfaces"):
+            d_report(inst)
         assert inst.a_max == 1.0
 
     def test_reproducible_from_seed(self):

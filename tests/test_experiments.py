@@ -587,6 +587,24 @@ class TestCli:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, text, key", [
+        (["scaling", "--config"], "n_seep = 4,8,16\n", "n_seep"),
+        (["compare", "--methods", "zero", "--config"], "n_sweep = 4,8\n", "n_sweep"),
+        (["examples", "--config"], "trials = 1\nout = x.csv\n", "out"),
+        (["compare", "--methods", "zero", "--scenario"],
+         "surfaces = 1\nelements = 4\nsurface1 = 10,0\npropagaton = all_los\n", "propagaton"),
+        (["compare", "--methods", "zero", "--scenario"],
+         "surfaces = 1\nelements = 4\nsurface1 = 10,0\nsurface2 = 20,0\n", "surface2"),
+    ], ids=["config-misspelt", "config-other-subcommand", "config-output-flag",
+            "scenario-misspelt", "scenario-extra-surface"])
+    def test_unknown_file_key_exits_two_without_traceback(self, tmp_path, argv, text, key):
+        path = tmp_path / "f.cfg"
+        path.write_text(text)
+        proc = run_module(*argv, str(path), "--trials", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: {path}: unknown key {key!r}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_t_rule_below_levels_is_fine_without_csm(self, tmp_path):
         out = tmp_path / "z.csv"
         assert main(["compare", "--t-rule", "fixed:3", "--methods", "zero", "-N", "8",

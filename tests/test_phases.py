@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -62,14 +60,6 @@ def test_with_stage_replaces_one_surface():
     assert b.indices[1].tolist() == [1, 2, 3]
     assert b.indices[0].tolist() == [0, 0, 0]
     assert a.indices[1].tolist() == [0, 0, 0]
-
-
-def test_assignment_json_round_trip():
-    a = PhaseAssignment(as_grids([2, 4], 2), (np.array([1, 0]), np.array([3, 2])))
-    d = json.loads(json.dumps(a.to_json_dict()))
-    b = PhaseAssignment.from_json_dict(d)
-    assert [g.num_levels for g in b.grids] == [2, 4]
-    assert all(np.array_equal(x, y) for x, y in zip(a.indices, b.indices))
 
 
 def test_wrap_angle_convention():

@@ -12,20 +12,20 @@ PUBLIC_NAMES = [
     "ExampleFixture", "ExperimentConfig", "ExperimentResult", "Geometry", "Lemma1Report",
     "LinkChannelGraph", "NOISELESS", "NoiseModel", "ONE_DRAW", "PhaseAssignment",
     "PhaseGrid", "PropagationMap", "RadioParams", "RankOneCheck", "RankOneFactors",
-    "RunRecord", "Scenario", "SnrBoost", "as_grids", "averaged", "beamforming",
-    "build_example", "build_link_graph", "channel", "channel_from_json_dict",
-    "channel_to_json_dict", "check_c_conditions", "check_cprime", "check_d_conditions",
-    "check_rank_one", "conditions", "config", "cpp_decide", "csm_decide", "dbm_to_watts",
+    "RunRecord", "Scenario", "SnrBoost", "as_grids", "averaged",
+    "build_example", "build_link_graph",
+    "check_c_conditions", "check_cprime", "check_d_conditions",
+    "check_rank_one", "cpp_decide", "csm_decide", "dbm_to_watts",
     "default_scenario_path", "derive_rng", "dims", "direct_gain", "effective_channel",
-    "exact_csm_small", "exhaustive_search", "expand_links_to_tensor", "experiments",
-    "fit_loglog_slope", "fixtures", "forced_chain_edges", "gamma_min_double",
+    "expand_links_to_tensor",
+    "fit_loglog_slope", "forced_chain_edges", "gamma_min_double",
     "generate_samples", "leakage_abs_sum", "lemma1_verify", "load_adjacency",
     "load_scenario", "los_link_channels", "make_d_instance", "max_leakage_scale",
     "nlos_link_channels", "packaged_scenario_path", "parse_config_file",
-    "parse_noise_model", "parse_t_rule", "pathloss_amplitude", "phases", "place_random",
+    "parse_noise_model", "parse_t_rule", "pathloss_amplitude", "place_random",
     "random_beamforming", "realize_scenario", "received_power",
     "recover_full_path_factors", "run_compare", "run_conditions_probability",
-    "run_examples", "run_lemma_check", "run_scaling", "sample_propagation", "scenario",
+    "run_examples", "run_lemma_check", "run_scaling", "sample_propagation",
     "sequential_cpp_oracle", "sequential_csm", "snr_boost", "stage_coefficients",
     "steering_vector", "theta_hat_star_all", "virtual_single_irs", "wrap_angle",
     "write_csv", "write_json", "zero_phase_baseline",
