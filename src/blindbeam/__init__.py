@@ -61,12 +61,8 @@ from .experiments import (
     CSV_HEADER,
     ExperimentResult,
     RunRecord,
-    Scenario,
-    default_scenario_path,
     derive_rng,
-    packaged_scenario_path,
     fit_loglog_slope,
-    load_scenario,
     realize_scenario,
     run_compare,
     run_conditions_probability,
@@ -88,12 +84,15 @@ from .scenario import (
     AngleTable,
     Geometry,
     PropagationMap,
+    Scenario,
     build_link_graph,
     dbm_to_watts,
-    forced_chain_edges,
+    default_scenario_path,
     load_adjacency,
+    load_scenario,
     los_link_channels,
     nlos_link_channels,
+    packaged_scenario_path,
     pathloss_amplitude,
     place_random,
     sample_propagation,

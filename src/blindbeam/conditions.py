@@ -132,24 +132,24 @@ def check_rank_one(matrix, tol: float = DEFAULT_TOL) -> RankOneCheck:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
+    factors, residual, ratio = recover_full_path_factors(m, tol)
+    if factors is None:
         return RankOneCheck(False, None, math.inf, math.inf, "zero matrix")
-    u_mat, s, vh = np.linalg.svd(m)
-    ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
-    factors = RankOneFactors.from_raw((u_mat[:, 0], s[0] * vh[0]))
-    recon = factors.outer_product()
-    residual = float(np.abs(m - recon).max() / scale)
     if ratio > tol:
         return RankOneCheck(False, factors, ratio, residual,
                             f"singular value ratio {ratio:.3e} above {tol:.1e}")
+    zero = _zero_entry(factors, tol)
+    return RankOneCheck(zero is None, factors, ratio, residual, zero)
+
+
+def _zero_entry(factors: RankOneFactors, tol: float) -> Optional[str]:
+    """'factor i entry n is zero' for the first factor entry at or below tol
+    times its vector's peak magnitude, or None when there is none."""
     for which, v in enumerate(factors.vectors):
         mags = np.abs(v)
         if mags.min() <= tol * mags.max():
-            n = int(np.argmin(mags))
-            return RankOneCheck(False, factors, ratio, residual,
-                                f"factor {which + 1} entry {n + 1} is zero")
-    return RankOneCheck(True, factors, ratio, residual)
+            return f"factor {which + 1} entry {int(np.argmin(mags)) + 1} is zero"
+    return None
 
 
 def recover_full_path_factors(block: np.ndarray, tol: float = DEFAULT_TOL):
@@ -409,14 +409,10 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids,
         residual = (math.inf if scale == 0.0 else
                     float(np.abs(block - factors.outer_product()).max() / scale))
         ratio = 0.0
-    d1 = factors is not None and residual <= tol
-    if factors is not None:
-        for which, v in enumerate(factors.vectors):
-            mags = np.abs(v)
-            if mags.min() <= tol * mags.max():
-                d1 = False
-                notes.append(f"d1: factor {which + 1} has a zero entry")
-                break
+    zero = None if factors is None else _zero_entry(factors, tol)
+    if zero is not None:
+        notes.append(f"d1: {zero}")
+    d1 = factors is not None and residual <= tol and zero is None
     budget = margin_budget(grids)
     d2 = grids[-1].num_levels >= 3 and budget > 0.0
     if factors is not None:

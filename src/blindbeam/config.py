@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .phases import as_grids
+
 
 class ConfigError(Exception):
     """Bad configuration input (file syntax, types, or value ranges)."""
@@ -84,6 +86,13 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(f"config key {key!r} must be an integer, got {v!r}") from e
 
+    def get_count(self, key: str, default=None) -> int:
+        """get_int for a count, which must be at least 1."""
+        v = self.get_int(key, default)
+        if v < 1:
+            raise ConfigError(f"{key} must be positive, got {v}")
+        return v
+
     def get_float(self, key: str, default=None) -> float:
         v = self.get_str(key, None if default is None else str(default))
         try:
@@ -118,6 +127,18 @@ class ExperimentConfig:
         if len(vals) != 2:
             raise ConfigError(f"config key {key!r} must be 'x,y', got {self.values.get(key)!r}")
         return vals[0], vals[1]
+
+
+def _grids_for(levels, num_surfaces: int):
+    """Phase grids from one level count shared by every surface, or one per
+    surface."""
+    if len(levels) not in (1, num_surfaces):
+        raise ConfigError(
+            f"need 1 or {num_surfaces} level counts, got {len(levels)}: {levels}")
+    try:
+        return as_grids(levels if len(levels) > 1 else levels[0], num_surfaces)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def parse_t_rule(text: str):

@@ -13,11 +13,9 @@ Wall-clock seconds break byte determinism, so the wall_s column is written as
 from __future__ import annotations
 
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -36,18 +34,19 @@ from .channel import (
     snr_boost,
 )
 from .conditions import check_c_conditions, check_cprime, check_d_conditions, lemma1_verify
-from .config import (ConfigError, ExperimentConfig, check_known_keys, parse_config_file,
-                     parse_t_rule)
+from .config import ConfigError, ExperimentConfig, _grids_for, parse_t_rule
 from .fixtures import build_example, check_d_grids, d_instance_a_max, make_d_instance
 from .phases import as_grids
 from .scenario import (
     AngleTable,
     Geometry,
     PropagationMap,
+    Scenario,
+    _eta,
+    _radio_params,
     build_link_graph,
-    dbm_to_watts,
-    forced_chain_edges,
-    load_adjacency,
+    default_scenario_path,
+    load_scenario,
     place_random,
     sample_propagation,
 )
@@ -183,18 +182,6 @@ def _map_ordered(fn, keys, threads: int) -> list:
         return list(pool.map(fn, keys))
 
 
-def _grids_for(levels, num_surfaces: int):
-    """Phase grids from one level count shared by every surface, or one per
-    surface."""
-    if len(levels) not in (1, num_surfaces):
-        raise ConfigError(
-            f"need 1 or {num_surfaces} level counts, got {len(levels)}: {levels}")
-    try:
-        return as_grids(levels if len(levels) > 1 else levels[0], num_surfaces)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def _d_instance_grids(levels, num_surfaces: int):
     """_grids_for, also held to the resolution requirements of
     make_d_instance."""
@@ -213,35 +200,14 @@ def _noise_model(config: ExperimentConfig):
         raise ConfigError(str(e)) from e
 
 
-def _radio_params(config: ExperimentConfig) -> RadioParams:
-    """Transmit and noise power from the power_dbm and noise_dbm keys."""
-    try:
-        return RadioParams(
-            transmit_power_w=dbm_to_watts(config.get_float("power_dbm", 30.0)),
-            noise_power_w=dbm_to_watts(config.get_float("noise_dbm", -98.0)),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _eta(value) -> float:
-    """A line-of-sight probability, which must lie in [0, 1]."""
-    try:
-        eta = float(value)
-    except ValueError as e:
-        raise ConfigError(f"eta must be a number, got {value!r}") from e
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
-    return eta
-
-
-def _samples_per_surface(t_rule, rule_text: str, n: int, levels) -> int:
+def _samples_per_surface(t_rule, rule_text: str, n: int, grids) -> int:
     """T = t_rule(n), which must reach every surface's K: with fewer probes
     than phase levels some (element, phase index) group stays empty."""
     t = t_rule(n)
-    if t < max(levels):
+    k = max(g.num_levels for g in grids)
+    if t < k:
         raise ConfigError(f"t_rule {rule_text} gives T={t} samples per surface at N={n}, "
-                          f"fewer than K={max(levels)} phase levels")
+                          f"fewer than K={k} phase levels")
     return t
 
 
@@ -269,20 +235,24 @@ def fit_loglog_slope(n_values, boosts):
     return float(slope), float(intercept), float(r2)
 
 
-def _slope_summary(experiment: str, records) -> list:
-    lines = []
+def _slope_summary(experiment: str, records) -> tuple[list, list]:
+    """'#' slope lines for the CSV and report lines for stdout; a method with
+    fewer than 3 distinct N gets a report line saying no slope was fitted."""
+    summary, report = [], []
     methods = sorted({r.method for r in records})
     for method in methods:
         rows = [r for r in records if r.method == method and r.metric_value > 0]
         ns = [r.num_elements for r in rows]
         if len(set(ns)) < 3:
+            report.append(f"method={method}: no slope, {len(set(ns))} distinct N (need 3)")
             continue
         slope, intercept, r2 = fit_loglog_slope(ns, [r.metric_value for r in rows])
-        lines.append(
+        summary.append(
             f"# slope,experiment={experiment},method={method},"
             f"slope={slope:.6g},intercept={intercept:.6g},r2={r2:.6g}"
         )
-    return lines
+        report.append(summary[-1].lstrip("# "))
+    return summary, report
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +267,9 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     size and the fitted slope reflects the pure N-scaling.
     """
     seed = config.get_int("seed", 0)
-    trials = config.get_int("trials", 10)
+    trials = config.get_count("trials", 10)
     threads = config.get_int("threads", 1)
-    L = config.get_int("surfaces", 2)
+    L = config.get_count("surfaces", 2)
     n_list = config.get_int_list("n_sweep", "8,16,32,64,128")
     levels = config.get_int_list("levels", "4")
     methods = config.get_str("methods", "csm,cpp").replace(",", " ").split()
@@ -310,16 +280,14 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     if not (0.0 <= margin <= 1.0):
         raise ConfigError(f"leakage_margin must lie in [0, 1], got {margin}")
     params = _radio_params(config)
-    if trials < 1 or not n_list:
-        raise ConfigError("trials and n_sweep must be nonempty and positive")
-    if min(n_list) < 1:
-        raise ConfigError("n_sweep entries must be positive")
+    if not n_list or min(n_list) < 1:
+        raise ConfigError("n_sweep must be nonempty with positive entries")
     grids = _d_instance_grids(levels, L)
     known = {"csm", "cpp"}
     bad = set(methods) - known
     if bad:
         raise ConfigError(f"unknown scaling methods {sorted(bad)}; pick from {sorted(known)}")
-    t_csm = ({n: _samples_per_surface(t_rule, rule_text, n, levels) for n in n_list}
+    t_csm = ({n: _samples_per_surface(t_rule, rule_text, n, grids) for n in n_list}
              if "csm" in methods else {})
 
     def one_trial(trial: int) -> list:
@@ -350,174 +318,38 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
 
     per_trial = _map_ordered(one_trial, list(range(trials)), threads)
     records = [r for chunk in per_trial for r in chunk]
-    summary = _slope_summary("scaling", records)
-    report = [line.lstrip("# ") for line in summary]
-    return ExperimentResult(records, summary, report)
+    return ExperimentResult(records, *_slope_summary("scaling", records))
 
 
 # ---------------------------------------------------------------------------
 # compare: benchmark methods on a scenario
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Parsed scenario file."""
-
-    num_surfaces: int
-    num_elements: int
-    levels: tuple
-    geometry: Geometry | None
-    placement: str
-    angles_mode: str
-    fixed_angle_rad: float | None
-    propagation_mode: str
-    eta: float | None
-    adjacency: PropagationMap | None
-    zero_nlos: bool
-    params: RadioParams
-    spacing_m: float
-    wavelength_m: float
-
-
-def packaged_scenario_path(name: str) -> Path:
-    path = Path(str(resources.files("blindbeam.data").joinpath(f"{name}.cfg")))
-    if not path.exists():
-        raise ConfigError(f"no packaged scenario named {name!r}")
-    return path
-
-
-def default_scenario_path() -> Path:
-    """The packaged double-surface corridor scenario."""
-    return packaged_scenario_path("double_irs")
-
-
-_SCENARIO_KEYS = {"surfaces", "elements", "levels", "tx", "rx", "angles", "propagation",
-                  "placement", "zero_nlos", "power_dbm", "noise_dbm", "spacing", "wavelength"}
-
-
-def load_scenario(path) -> Scenario:
-    cfg = ExperimentConfig(parse_config_file(path))
-    L = cfg.get_int("surfaces")
-    n = cfg.get_int("elements")
-    if L < 1 or n < 1:
-        raise ConfigError("surfaces and elements must be positive")
-    check_known_keys(cfg.values, _SCENARIO_KEYS | {f"surface{ell}" for ell in range(1, L + 1)},
-                     path)
-    levels = cfg.get_int_list("levels", "4")
-    grids = _grids_for(levels, L)
-    spacing = cfg.get_float("spacing", 0.03)
-    wavelength = cfg.get_float("wavelength", 0.06)
-    if not (spacing > 0 and wavelength > 0):
-        raise ConfigError(f"spacing and wavelength must be positive, got {spacing} and "
-                          f"{wavelength}")
-    placement = cfg.get_str("placement", "explicit")
-    geometry = None
-    if placement == "explicit":
-        pos = [cfg.get_pair("tx", "0,0")]
-        for ell in range(1, L + 1):
-            pos.append(cfg.get_pair(f"surface{ell}"))
-        pos.append(cfg.get_pair("rx", "100,0"))
-        try:
-            geometry = Geometry(np.asarray(pos, dtype=float), spacing, wavelength)
-        except ValueError as e:
-            raise ConfigError(f"scenario geometry: {e}") from e
-    elif placement != "random_staircase":
-        raise ConfigError(f"unknown placement {placement!r}")
-    angles = cfg.get_str("angles", "bearing")
-    fixed_angle = None
-    if angles.startswith(("fixed_deg:", "fixed_rad:")):
-        try:
-            fixed_angle = float(angles.split(":", 1)[1])
-        except ValueError:
-            fixed_angle = math.nan
-        if not math.isfinite(fixed_angle):
-            raise ConfigError(f"angles {angles!r} needs a finite number after the colon")
-        if angles.startswith("fixed_deg:"):
-            fixed_angle = math.radians(fixed_angle)
-        angles_mode = "fixed"
-    elif angles == "bearing":
-        angles_mode = "bearing"
-    else:
-        raise ConfigError(f"unknown angles mode {angles!r}")
-    prop = cfg.get_str("propagation", "chain_only")
-    eta = None
-    adjacency = None
-    if prop.startswith("eta:"):
-        eta = _eta(prop.split(":", 1)[1])
-        prop_mode = "eta"
-    elif prop.startswith("adjacency:"):
-        try:
-            adjacency = load_adjacency(prop.split(":", 1)[1])
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"propagation {prop!r}: {e}") from e
-        prop_mode = "adjacency"
-    elif prop in ("chain_only", "all_los"):
-        prop_mode = prop
-    else:
-        raise ConfigError(f"unknown propagation mode {prop!r}")
-    return Scenario(
-        num_surfaces=L,
-        num_elements=n,
-        levels=tuple(g.num_levels for g in grids),
-        geometry=geometry,
-        placement=placement,
-        angles_mode=angles_mode,
-        fixed_angle_rad=fixed_angle,
-        propagation_mode=prop_mode,
-        eta=eta,
-        adjacency=adjacency,
-        zero_nlos=cfg.get_bool("zero_nlos", False),
-        params=_radio_params(cfg),
-        spacing_m=spacing,
-        wavelength_m=wavelength,
-    )
-
-
 def realize_scenario(scenario: Scenario, seed: int, trial: int,
-                     num_elements: int | None = None):
+                     num_elements: int | None = None, tags=()):
     """Draw one channel realization of a scenario.
 
     Returns (graph, grids, params).  Placement, propagation, and fading each
-    consume their own RNG stream so realizations are trial-independent.
+    consume their own RNG stream, derive_rng(seed, trial, stage tag, *tags),
+    so realizations are trial-independent.
     """
     n = scenario.num_elements if num_elements is None else num_elements
     L = scenario.num_surfaces
-    if scenario.placement == "explicit":
-        geometry = scenario.geometry
-    else:
-        geometry = place_random(L, derive_rng(seed, trial, TAG_PLACEMENT))
-        geometry = Geometry(geometry.positions, scenario.spacing_m, scenario.wavelength_m)
-    nn = geometry.num_nodes
-    if scenario.angles_mode == "fixed":
-        angles = AngleTable.fixed(nn, scenario.fixed_angle_rad)
-    else:
+    geometry = scenario.geometry
+    if geometry is None:
+        positions = place_random(L, derive_rng(seed, trial, TAG_PLACEMENT, *tags)).positions
+        geometry = Geometry(positions, scenario.spacing_m, scenario.wavelength_m)
+    if scenario.fixed_angle_rad is None:
         angles = AngleTable.from_geometry(geometry)
-    if scenario.propagation_mode == "chain_only":
-        a = np.zeros((nn, nn), dtype=bool)
-        for i, j in forced_chain_edges(L):
-            a[i, j] = a[j, i] = True
-        prop = PropagationMap(a)
-    elif scenario.propagation_mode == "all_los":
-        a = np.ones((nn, nn), dtype=bool)
-        np.fill_diagonal(a, False)
-        prop = PropagationMap(a)
-    elif scenario.propagation_mode == "eta":
-        prop = sample_propagation(
-            scenario.eta, forced_chain_edges(L), nn,
-            derive_rng(seed, trial, TAG_PROPAGATION),
-        )
     else:
-        prop = scenario.adjacency
-        if prop.num_nodes != nn:
-            raise ConfigError(
-                f"adjacency has {prop.num_nodes} nodes, scenario needs {nn}"
-            )
-    graph = build_link_graph(
-        geometry, angles, prop, n,
-        derive_rng(seed, trial, TAG_CHANNEL), zero_nlos=scenario.zero_nlos,
-    )
-    grids = _grids_for(scenario.levels, L)
-    return graph, grids, scenario.params
+        angles = AngleTable.fixed(geometry.num_nodes, scenario.fixed_angle_rad)
+    prop = scenario.propagation
+    if not isinstance(prop, PropagationMap):
+        prop = sample_propagation(prop, L, derive_rng(seed, trial, TAG_PROPAGATION, *tags))
+    graph = build_link_graph(geometry, angles, prop, n,
+                             derive_rng(seed, trial, TAG_CHANNEL, *tags),
+                             zero_nlos=scenario.zero_nlos)
+    return graph, scenario.grids, scenario.params
 
 
 COMPARE_METHODS = ("zero", "random", "virtual", "csm", "cpp")
@@ -532,11 +364,11 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     perfect-knowledge projection oracle.
     """
     seed = config.get_int("seed", 0)
-    trials = config.get_int("trials", 20)
+    trials = config.get_count("trials", 20)
     threads = config.get_int("threads", 1)
     scenario_path = config.get_str("scenario", str(default_scenario_path()))
     scenario = load_scenario(scenario_path)
-    n = config.get_int("elements", scenario.num_elements)
+    n = config.get_count("elements", scenario.num_elements)
     methods = config.get_str("methods", ",".join(COMPARE_METHODS)).replace(",", " ").split()
     bad = set(methods) - set(COMPARE_METHODS)
     if bad:
@@ -545,12 +377,8 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     t_rule = parse_t_rule(rule_text)
     budget_per_surface = config.get_int("budget_per_surface", 1000)
     noise = _noise_model(config)
-    if trials < 1:
-        raise ConfigError("trials must be positive")
-    if n < 1:
-        raise ConfigError(f"elements must be positive, got {n}")
     if "csm" in methods:
-        t_csm = _samples_per_surface(t_rule, rule_text, n, scenario.levels)
+        t_csm = _samples_per_surface(t_rule, rule_text, n, scenario.grids)
 
     def one_trial(trial: int) -> list:
         graph, grids, params = realize_scenario(scenario, seed, trial, n)
@@ -612,34 +440,29 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     the notes instead of zeroing the whole curve.
     """
     seed = config.get_int("seed", 0)
-    trials = config.get_int("trials", 200)
+    trials = config.get_count("trials", 200)
     threads = config.get_int("threads", 1)
     L = config.get_int("surfaces", 2)
-    n = config.get_int("elements", 100)
+    n = config.get_count("elements", 100)
     etas = [_eta(eta) for eta in config.get_float_list("eta_sweep", "0.2,0.4,0.6,0.8,1.0")]
     levels = config.get_int_list("levels", str(2 * L))
     if L < 2:
         raise ConfigError("the conditions study needs at least two surfaces")
-    if trials < 1 or not etas:
-        raise ConfigError("trials and eta_sweep must be nonempty and positive")
+    if not etas:
+        raise ConfigError("eta_sweep must be nonempty")
     grids = _grids_for(levels, L)
     set_grids = {"C": as_grids(levels[0], 2), "Cprime": as_grids(levels[0], 2), "D": grids}
+    staircases = {(ell, eta_idx): Scenario(ell, n, set_grids["D" if ell == L else "C"], None,
+                                           eta, zero_nlos=True)
+                  for eta_idx, eta in enumerate(etas) for ell in {L, 2}}
 
     def one_case(key) -> list:
         eta_idx, trial = key
         eta = etas[eta_idx]
 
         def tensor_for(num_surfaces: int, tag_shift: int):
-            geometry = place_random(
-                num_surfaces, derive_rng(seed, trial, TAG_PLACEMENT, eta_idx, tag_shift))
-            prop = sample_propagation(
-                eta, forced_chain_edges(num_surfaces), geometry.num_nodes,
-                derive_rng(seed, trial, TAG_PROPAGATION, eta_idx, tag_shift))
-            graph = build_link_graph(
-                geometry, AngleTable.from_geometry(geometry), prop, n,
-                derive_rng(seed, trial, TAG_CHANNEL, eta_idx, tag_shift),
-                zero_nlos=True,
-            )
+            graph, _, _ = realize_scenario(staircases[num_surfaces, eta_idx], seed, trial,
+                                           tags=(eta_idx, tag_shift))
             return expand_links_to_tensor(graph)
 
         tensor_l = tensor_for(L, 0)
@@ -744,16 +567,14 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     """Draw condition-satisfying instances and verify the deviation bound
     between decided and ideal phases, surface by surface."""
     seed = config.get_int("seed", 0)
-    trials = config.get_int("trials", 100)
+    trials = config.get_count("trials", 100)
     threads = config.get_int("threads", 1)
-    L = config.get_int("surfaces", 2)
-    n = config.get_int("elements", 6)
+    L = config.get_count("surfaces", 2)
+    n = config.get_count("elements", 6)
     levels = config.get_int_list("levels", "4")
     margin = config.get_float("leakage_margin", 0.5)
     if not (0.0 < margin <= 1.0):
         raise ConfigError(f"leakage_margin must lie in (0, 1], got {margin}")
-    if trials < 1:
-        raise ConfigError("trials must be positive")
     grids = _d_instance_grids(levels, L)
     params = RadioParams(transmit_power_w=1.0)
 

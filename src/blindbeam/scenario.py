@@ -6,18 +6,21 @@ spacing xi; the carrier wavelength is lam.  A line-of-sight link carries a
 deterministic distance phase and per-element steering factors; a
 non-line-of-sight link carries an i.i.d. CN(0, 1) fading factor per element
 pair.  Either way the amplitude follows a log-distance pathloss law.
+
+A Scenario holds one deployment by value; load_scenario reads it from a file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence
+from pathlib import Path
 
 import numpy as np
 
-from .channel import LinkChannelGraph
+from .channel import LinkChannelGraph, RadioParams
+from .config import ConfigError, ExperimentConfig, _grids_for, check_known_keys, parse_config_file
 
 DEFAULT_SPACING_M = 0.03
 DEFAULT_WAVELENGTH_M = 0.06
@@ -88,44 +91,39 @@ class Geometry:
 
 @dataclass(frozen=True)
 class AngleTable:
-    """Departure and arrival angles for every ordered node pair, in radians.
+    """Link angles for every ordered node pair, in radians.
 
-    aod[i, j]: angle of departure from node i toward node j.
-    aoa[i, j]: angle of arrival at node i from node j.
-    Only entries involving at least one surface are ever read.
+    rad[i, j] is the angle at node i of its link with node j: both the angle
+    of departure from i toward j and the angle of arrival at i from j.  Only
+    entries involving at least one surface are ever read.
     """
 
-    aod: np.ndarray
-    aoa: np.ndarray
+    rad: np.ndarray
 
     def __post_init__(self):
-        aod = np.array(self.aod, dtype=np.float64, copy=True)
-        aoa = np.array(self.aoa, dtype=np.float64, copy=True)
-        if aod.ndim != 2 or aod.shape[0] != aod.shape[1] or aod.shape != aoa.shape:
-            raise ValueError("angle tables must be square and matching")
-        if not (np.all(np.isfinite(aod)) and np.all(np.isfinite(aoa))):
+        a = np.array(self.rad, dtype=np.float64, copy=True)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("the angle table must be square")
+        if not np.all(np.isfinite(a)):
             raise ValueError("angles must be finite")
-        aod.flags.writeable = False
-        aoa.flags.writeable = False
-        object.__setattr__(self, "aod", aod)
-        object.__setattr__(self, "aoa", aoa)
+        a.flags.writeable = False
+        object.__setattr__(self, "rad", a)
 
     @classmethod
     def from_geometry(cls, geometry: Geometry) -> "AngleTable":
-        """Planar bearings: departure toward the peer, arrival from the peer."""
+        """Planar bearings: rad[i, j] is the bearing of node j seen from node i."""
         n = geometry.num_nodes
-        aod = np.zeros((n, n))
+        a = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    aod[i, j] = geometry.bearing(i, j)
-        return cls(aod, aod.copy())
+                    a[i, j] = geometry.bearing(i, j)
+        return cls(a)
 
     @classmethod
     def fixed(cls, num_nodes: int, angle_rad: float) -> "AngleTable":
-        """Every departure and arrival angle set to the same constant."""
-        a = np.full((num_nodes, num_nodes), float(angle_rad))
-        return cls(a, a.copy())
+        """Every link angle set to the same constant."""
+        return cls(np.full((num_nodes, num_nodes), float(angle_rad)))
 
 
 @dataclass(frozen=True)
@@ -153,37 +151,26 @@ class PropagationMap:
         return bool(self.los[i, j])
 
 
-def forced_chain_edges(num_surfaces: int) -> list[tuple[int, int]]:
-    """Edges kept line-of-sight in deployment studies: the relay chain
-    tx -> surface 1 -> ... -> surface L -> rx."""
-    L = num_surfaces
-    return [(ell, ell + 1) for ell in range(L + 1)]
-
-
-def sample_propagation(eta: float, forced_edges: Sequence[tuple[int, int]],
-                       num_nodes: int, rng) -> PropagationMap:
-    """Random propagation map: forced edges are always LoS, every other pair
-    is LoS independently with probability eta."""
+def sample_propagation(eta: float, num_surfaces: int, rng) -> PropagationMap:
+    """Random propagation map of L surfaces: the relay chain tx -> surface 1
+    -> ... -> surface L -> rx is always LoS, every other pair is LoS
+    independently with probability eta.  One draw is taken for every pair,
+    chain pairs included, so eta = 0 gives the chain alone and eta = 1 every
+    pair."""
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    num_nodes = num_surfaces + 2
     a = np.zeros((num_nodes, num_nodes), dtype=bool)
     for i in range(num_nodes):
         for j in range(i + 1, num_nodes):
-            a[i, j] = a[j, i] = rng.random() < eta
-    for i, j in forced_edges:
-        a[i, j] = a[j, i] = True
+            a[i, j] = a[j, i] = rng.random() < eta or j == i + 1
     return PropagationMap(a)
 
 
-def load_adjacency(path=None) -> PropagationMap:
-    """Load a 0/1 adjacency grid from a text file; default is the packaged
-    10-node deployment fixture."""
-    if path is None:
-        ref = resources.files("blindbeam.data").joinpath("adjacency_10node.txt")
-        text = ref.read_text()
-    else:
-        with open(path) as f:
-            text = f.read()
+def load_adjacency(path) -> PropagationMap:
+    """Load a 0/1 adjacency grid from a text file."""
+    with open(path) as f:
+        text = f.read()
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -220,8 +207,8 @@ def _los_hop_factors(geometry: Geometry, angles: AngleTable, i: int, j: int,
     matrix outer(u, v): u is the departure ramp at surface i times the common
     factor, v the arrival ramp at surface j."""
     xi, lam = geometry.spacing_m, geometry.wavelength_m
-    dep = steering_vector(num_elements, angles.aod[i, j], xi, lam)
-    arr = steering_vector(num_elements, angles.aoa[j, i], xi, lam)
+    dep = steering_vector(num_elements, angles.rad[i, j], xi, lam)
+    arr = steering_vector(num_elements, angles.rad[j, i], xi, lam)
     return _los_phasor(geometry, i, j) * dep, arr
 
 
@@ -244,10 +231,10 @@ def los_link_channels(geometry: Geometry, angles: AngleTable, i: int, j: int,
     xi, lam = geometry.spacing_m, geometry.wavelength_m
     if i == tx_node:
         # arrival ramp at surface j, angle of arrival from the transmitter
-        ramp = steering_vector(num_elements, angles.aoa[j, i], xi, lam)
+        ramp = steering_vector(num_elements, angles.rad[j, i], xi, lam)
     elif j == rx_node:
         # departure ramp at surface i toward the receiver
-        ramp = steering_vector(num_elements, angles.aod[i, j], xi, lam)
+        ramp = steering_vector(num_elements, angles.rad[i, j], xi, lam)
     else:
         return np.outer(*_los_hop_factors(geometry, angles, i, j, num_elements))
     return _los_phasor(geometry, i, j) * ramp
@@ -327,24 +314,156 @@ def build_link_graph(geometry: Geometry, angles: AngleTable,
                             irs_to_irs=irs_to_irs, tx_to_rx=direct)
 
 
-def place_random(num_surfaces: int, rng,
-                 tx=(5.0, 5.0), rx=(95.0, 95.0), span: float = 90.0) -> Geometry:
-    """Random staircase placement in a square area.
+def place_random(num_surfaces: int, rng) -> Geometry:
+    """Random staircase placement in the square [5, 95]^2, transmitter at
+    (5, 5) and receiver at (95, 95).
 
-    Surface ell (1-based) is uniform in [5 + span*(ell-1)/L, 5 + span*ell/L]^2,
+    Surface ell (1-based) is uniform in [5 + 90*(ell-1)/L, 5 + 90*ell/L]^2,
     so successive surfaces progress from the transmitter corner toward the
     receiver corner.
     """
     L = int(num_surfaces)
     if L < 1:
         raise ValueError("need at least one surface")
-    pos = [tx]
-    x0 = 5.0
+    pos = [(5.0, 5.0)]
     for ell in range(1, L + 1):
-        lo = x0 + span * (ell - 1) / L
-        hi = x0 + span * ell / L
+        lo = 5.0 + 90.0 * (ell - 1) / L
+        hi = 5.0 + 90.0 * ell / L
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
         pos.append((x, y))
-    pos.append(rx)
+    pos.append((95.0, 95.0))
     return Geometry(np.asarray(pos, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# scenario files
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One deployment, by value.
+
+    geometry None means a random staircase placement per trial (place_random),
+    fixed_angle_rad None means angles from node bearings, and propagation is
+    either a line-of-sight probability eta for every pair off the relay chain
+    or a fixed PropagationMap.
+    """
+
+    num_surfaces: int
+    num_elements: int
+    grids: tuple
+    geometry: Geometry | None
+    propagation: float | PropagationMap
+    fixed_angle_rad: float | None = None
+    zero_nlos: bool = False
+    params: RadioParams = field(default_factory=RadioParams)
+    spacing_m: float = DEFAULT_SPACING_M
+    wavelength_m: float = DEFAULT_WAVELENGTH_M
+
+
+def packaged_scenario_path(name: str) -> Path:
+    path = Path(str(resources.files("blindbeam.data").joinpath(f"{name}.cfg")))
+    if not path.exists():
+        raise ConfigError(f"no packaged scenario named {name!r}")
+    return path
+
+
+def default_scenario_path() -> Path:
+    """The packaged double-surface corridor scenario."""
+    return packaged_scenario_path("double_irs")
+
+
+def _radio_params(config: ExperimentConfig) -> RadioParams:
+    """Transmit and noise power from the power_dbm and noise_dbm keys."""
+    try:
+        return RadioParams(
+            transmit_power_w=dbm_to_watts(config.get_float("power_dbm", DEFAULT_TX_POWER_DBM)),
+            noise_power_w=dbm_to_watts(config.get_float("noise_dbm", DEFAULT_NOISE_DBM)),
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _eta(value) -> float:
+    """A line-of-sight probability, which must lie in [0, 1]."""
+    try:
+        eta = float(value)
+    except ValueError as e:
+        raise ConfigError(f"eta must be a number, got {value!r}") from e
+    if not (0.0 <= eta <= 1.0):
+        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
+    return eta
+
+
+_SCENARIO_KEYS = {"surfaces", "elements", "levels", "tx", "rx", "angles", "propagation",
+                  "placement", "zero_nlos", "power_dbm", "noise_dbm", "spacing", "wavelength"}
+# chain_only and all_los are the extremes of the eta model
+_NAMED_ETA = {"chain_only": 0.0, "all_los": 1.0}
+
+
+def load_scenario(path) -> Scenario:
+    cfg = ExperimentConfig(parse_config_file(path))
+    L = cfg.get_count("surfaces")
+    n = cfg.get_count("elements")
+    check_known_keys(cfg.values, _SCENARIO_KEYS | {f"surface{ell}" for ell in range(1, L + 1)},
+                     path)
+    grids = _grids_for(cfg.get_int_list("levels", "4"), L)
+    spacing = cfg.get_float("spacing", DEFAULT_SPACING_M)
+    wavelength = cfg.get_float("wavelength", DEFAULT_WAVELENGTH_M)
+    if not (spacing > 0 and wavelength > 0):
+        raise ConfigError(f"spacing and wavelength must be positive, got {spacing} and "
+                          f"{wavelength}")
+    placement = cfg.get_str("placement", "explicit")
+    geometry = None
+    if placement == "explicit":
+        pos = [cfg.get_pair("tx", "0,0")]
+        for ell in range(1, L + 1):
+            pos.append(cfg.get_pair(f"surface{ell}"))
+        pos.append(cfg.get_pair("rx", "100,0"))
+        try:
+            geometry = Geometry(np.asarray(pos, dtype=float), spacing, wavelength)
+        except ValueError as e:
+            raise ConfigError(f"scenario geometry: {e}") from e
+    elif placement != "random_staircase":
+        raise ConfigError(f"unknown placement {placement!r}")
+    angles = cfg.get_str("angles", "bearing")
+    fixed_angle = None
+    if angles.startswith(("fixed_deg:", "fixed_rad:")):
+        try:
+            fixed_angle = float(angles.split(":", 1)[1])
+        except ValueError:
+            fixed_angle = math.nan
+        if not math.isfinite(fixed_angle):
+            raise ConfigError(f"angles {angles!r} needs a finite number after the colon")
+        if angles.startswith("fixed_deg:"):
+            fixed_angle = math.radians(fixed_angle)
+    elif angles != "bearing":
+        raise ConfigError(f"unknown angles mode {angles!r}")
+    prop = cfg.get_str("propagation", "chain_only")
+    if prop.startswith("eta:"):
+        propagation = _eta(prop.split(":", 1)[1])
+    elif prop.startswith("adjacency:"):
+        try:
+            propagation = load_adjacency(prop.split(":", 1)[1])
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"propagation {prop!r}: {e}") from e
+        if propagation.num_nodes != L + 2:
+            raise ConfigError(
+                f"adjacency has {propagation.num_nodes} nodes, scenario needs {L + 2}")
+    elif prop in _NAMED_ETA:
+        propagation = _NAMED_ETA[prop]
+    else:
+        raise ConfigError(f"unknown propagation mode {prop!r}")
+    return Scenario(
+        num_surfaces=L,
+        num_elements=n,
+        grids=grids,
+        geometry=geometry,
+        propagation=propagation,
+        fixed_angle_rad=fixed_angle,
+        zero_nlos=cfg.get_bool("zero_nlos", False),
+        params=_radio_params(cfg),
+        spacing_m=spacing,
+        wavelength_m=wavelength,
+    )

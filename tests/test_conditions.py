@@ -339,6 +339,19 @@ class TestDConditions:
         assert not report.subconditions["d1"]
         assert report.margins["d1_residual"] > 1e-6
 
+    def test_zero_factor_entry_named_alike_in_c1_and_d1(self, rng):
+        # C1 and D1 share one zero-entry rule and its wording
+        u, v = unit_phases(rng, 4), unit_phases(rng, 4)
+        v[2] = 0.0
+        e = np.zeros((5, 5), dtype=complex)
+        e[1:, 1:] = np.outer(u, v)
+        t = CascadedChannelTensor(e)
+        c = check_c_conditions(t, 4)
+        d = check_d_conditions(t, 4)
+        assert not c.subconditions["c1"] and not d.subconditions["d1"]
+        assert "c1: factor 2 entry 3 is zero" in c.notes
+        assert "d1: factor 2 entry 3 is zero" in d.notes
+
     def test_needs_at_least_two_surfaces(self, rng):
         t = CascadedChannelTensor(unit_phases(rng, (4,)))
         with pytest.raises(ValueError):

@@ -13,29 +13,39 @@ import pytest
 
 from blindbeam import (
     CSV_HEADER,
+    AngleTable,
     ConfigError,
     ExperimentConfig,
+    PropagationMap,
     RunRecord,
+    Scenario,
+    as_grids,
+    build_link_graph,
     default_scenario_path,
     derive_rng,
     fit_loglog_slope,
+    load_adjacency,
     load_scenario,
     packaged_scenario_path,
     parse_config_file,
     parse_t_rule,
+    place_random,
     realize_scenario,
     run_compare,
     run_conditions_probability,
     run_examples,
     run_lemma_check,
     run_scaling,
+    sample_propagation,
     snr_boost,
     write_csv,
     write_json,
     zero_phase_baseline,
 )
+from blindbeam import experiments
 from blindbeam.cli import main
-from blindbeam.experiments import RUNNERS, sort_records
+from blindbeam.experiments import (RUNNERS, TAG_CHANNEL, TAG_PLACEMENT, TAG_PROPAGATION,
+                                   sort_records)
 
 
 def run_module(*argv) -> subprocess.CompletedProcess:
@@ -48,8 +58,37 @@ def run_module(*argv) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+PACKAGED_ADJACENCY = Path(experiments.__file__).parent / "data" / "adjacency_10node.txt"
+
+
 def cfg(**kwargs) -> ExperimentConfig:
     return ExperimentConfig.merge(None, kwargs)
+
+
+def assert_same_graph(got, want):
+    """Every link of two link graphs equal bit for bit."""
+    assert got.tx_to_rx == want.tx_to_rx
+    assert len(got.tx_to_irs) == len(want.tx_to_irs)
+    assert sorted(got.irs_to_irs) == sorted(want.irs_to_irs)
+    assert sorted(got.rank_one) == sorted(want.rank_one)
+    for a, b in zip(got.tx_to_irs + got.irs_to_rx, want.tx_to_irs + want.irs_to_rx):
+        assert np.array_equal(a, b)
+    for key in want.irs_to_irs:
+        assert np.array_equal(got.irs_to_irs[key], want.irs_to_irs[key])
+
+
+def stage_by_stage(seed, trial, tags, num_surfaces, n, geometry, prop, zero_nlos):
+    """A realization built stage by stage with the derive_rng(seed, trial,
+    TAG_*, *tags) streams: staircase placement when geometry is None, bearing
+    angles, propagation sampled when prop is an eta."""
+    if geometry is None:
+        geometry = place_random(num_surfaces,
+                                derive_rng(seed, trial, TAG_PLACEMENT, *tags))
+    if not isinstance(prop, PropagationMap):
+        prop = sample_propagation(prop, num_surfaces,
+                                  derive_rng(seed, trial, TAG_PROPAGATION, *tags))
+    return build_link_graph(geometry, AngleTable.from_geometry(geometry), prop, n,
+                            derive_rng(seed, trial, TAG_CHANNEL, *tags), zero_nlos=zero_nlos)
 
 
 class TestSlopeFit:
@@ -228,12 +267,11 @@ class TestScenarioFiles:
         sc = load_scenario(default_scenario_path())
         assert sc.num_surfaces == 2
         assert sc.num_elements == 100
-        assert sc.levels == (4, 4)
-        assert sc.placement == "explicit"
-        assert sc.angles_mode == "bearing"
-        assert sc.propagation_mode == "chain_only"
-        assert not sc.zero_nlos
+        assert [g.num_levels for g in sc.grids] == [4, 4]
         assert sc.geometry.num_nodes == 4
+        assert sc.fixed_angle_rad is None
+        assert sc.propagation == 0.0  # chain_only
+        assert not sc.zero_nlos
 
     def test_chain_variant_zeroes_nlos(self):
         sc = load_scenario(packaged_scenario_path("double_irs_chain"))
@@ -244,10 +282,59 @@ class TestScenarioFiles:
         path.write_text("surfaces = 1\nelements = 4\nsurface1 = 10,0\n"
                         "angles = fixed_deg:90\npropagation = eta:0.5\n")
         sc = load_scenario(path)
-        assert sc.angles_mode == "fixed"
         assert sc.fixed_angle_rad == pytest.approx(math.pi / 2)
-        assert sc.propagation_mode == "eta"
-        assert sc.eta == 0.5
+        assert sc.propagation == 0.5
+
+    @pytest.mark.parametrize("line, want", [
+        ("propagation = chain_only", 0.0),
+        ("propagation = all_los", 1.0),
+        ("propagation = eta:0.25", 0.25),
+        ("placement = random_staircase", 0.0),
+    ])
+    def test_propagation_and_placement_values(self, tmp_path, line, want):
+        path = tmp_path / "s.cfg"
+        path.write_text(f"surfaces = 1\nelements = 4\nsurface1 = 10,0\n{line}\n")
+        sc = load_scenario(path)
+        assert sc.propagation == want
+        assert (sc.geometry is None) == ("random_staircase" in line)
+
+    def test_adjacency_file_is_the_propagation_map(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("surfaces = 8\nelements = 4\nplacement = random_staircase\n"
+                        f"propagation = adjacency:{PACKAGED_ADJACENCY}\n")
+        sc = load_scenario(path)
+        assert isinstance(sc.propagation, PropagationMap)
+        assert np.array_equal(sc.propagation.los, load_adjacency(PACKAGED_ADJACENCY).los)
+
+    @pytest.mark.parametrize("prop, los_pairs", [
+        ("chain_only", "chain"), ("eta:0", "chain"), ("all_los", "all"), ("eta:1", "all"),
+    ])
+    def test_named_propagation_realizes_the_hand_built_map(self, tmp_path, prop, los_pairs):
+        # chain_only and all_los are read as eta 0 and 1; the graph must equal
+        # the one built from the hand-built chain or all-pairs map, with the
+        # faded off-chain links drawn from the same channel stream
+        path = tmp_path / "s.cfg"
+        path.write_text(f"surfaces = 2\nelements = 5\nsurface1 = 15,0\nsurface2 = 22.5,13\n"
+                        f"rx = 37.5,13\npropagation = {prop}\n")
+        sc = load_scenario(path)
+        a = np.zeros((4, 4), dtype=bool)
+        for i in range(3):
+            a[i, i + 1] = a[i + 1, i] = True
+        if los_pairs == "all":
+            a = ~np.eye(4, dtype=bool)
+        for trial in (0, 3):
+            graph, _, _ = realize_scenario(sc, seed=9, trial=trial)
+            want = stage_by_stage(9, trial, (), 2, 5, sc.geometry, PropagationMap(a), False)
+            assert_same_graph(graph, want)
+
+    def test_random_staircase_draws_each_stage_from_its_own_stream(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("surfaces = 3\nelements = 4\nplacement = random_staircase\n"
+                        "propagation = eta:0.5\n")
+        sc = load_scenario(path)
+        for tags in ((), (1, 0), (0, 1)):
+            graph, _, _ = realize_scenario(sc, seed=2, trial=1, tags=tags)
+            assert_same_graph(graph, stage_by_stage(2, 1, tags, 3, 4, None, 0.5, False))
 
     @pytest.mark.parametrize("line", [
         "placement = grid",
@@ -310,6 +397,15 @@ class TestScalingRunner:
         result = run_scaling(cfg(trials=1, n_sweep="4,6,8", t_rule="linear:5"))
         for r in result.records:
             assert r.samples == (0 if r.method == "cpp" else 5 * r.num_elements)
+
+    def test_reports_when_no_slope_is_fitted(self):
+        result = run_scaling(cfg(trials=1, n_sweep="4,8", t_rule="fixed:40"))
+        assert result.report_lines == ["method=cpp: no slope, 2 distinct N (need 3)",
+                                       "method=csm: no slope, 2 distinct N (need 3)"]
+        assert result.summary_lines == []
+        fitted = run_scaling(cfg(trials=1, n_sweep="4,6,8", methods="cpp"))
+        assert fitted.report_lines == [line.lstrip("# ") for line in fitted.summary_lines]
+        assert len(fitted.report_lines) == 1
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError, match="unknown scaling methods"):
@@ -393,6 +489,31 @@ class TestConditionsRunner:
         for r in result.records:
             want = (3, "8|6|4") if r.method == "D" else (2, "8")
             assert (r.num_surfaces, r.levels) == want
+
+    def test_cases_are_realized_staircase_scenarios(self, monkeypatch):
+        # case (eta_idx, trial) draws the L-surface deployment with tags
+        # (eta_idx, 0), then the two-surface one with tags (eta_idx, 1)
+        seen = []
+        expand = experiments.expand_links_to_tensor
+        monkeypatch.setattr(experiments, "expand_links_to_tensor",
+                            lambda graph: seen.append(graph) or expand(graph))
+        etas = (0.3, 0.7)
+        run_conditions_probability(cfg(seed=5, surfaces=3, elements=4, levels="8", trials=2,
+                                       eta_sweep=",".join(map(str, etas))))
+        want = []
+        for eta_idx, eta in enumerate(etas):
+            for trial in range(2):
+                for num_surfaces, tag_shift in ((3, 0), (2, 1)):
+                    staircase = Scenario(num_surfaces, 4, as_grids(8, num_surfaces), None, eta,
+                                         zero_nlos=True)
+                    tags = (eta_idx, tag_shift)
+                    graph, _, _ = realize_scenario(staircase, 5, trial, tags=tags)
+                    assert_same_graph(graph, stage_by_stage(5, trial, tags, num_surfaces, 4,
+                                                            None, eta, True))
+                    want.append(graph)
+        assert len(seen) == len(want)
+        for got, graph in zip(seen, want):
+            assert_same_graph(got, graph)
 
     def test_continuity_note_present(self):
         result = run_conditions_probability(cfg(trials=1, elements=4, eta_sweep="0.5"))
@@ -547,9 +668,14 @@ class TestCli:
          "t_rule fixed:5 gives T=5 samples per surface at N=4, fewer than K=6 phase levels"),
         (["compare", "--t-rule", "fixed:3", "--methods", "zero,csm"],
          "t_rule fixed:3 gives T=3 samples per surface at N=100, fewer than K=4 phase levels"),
+        (["scaling", "-L", "0"], "surfaces must be positive, got 0"),
+        (["lemma-check", "-L", "0"], "surfaces must be positive, got 0"),
+        (["lemma-check", "-N", "0"], "elements must be positive, got 0"),
+        (["conditions", "-N", "0"], "elements must be positive, got 0"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
             "lemma-margin-1.5", "scaling-margin-neg", "scaling-t-rule-below-k",
-            "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k"])
+            "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k", "scaling-surfaces-0",
+            "lemma-surfaces-0", "lemma-elements-0", "conditions-elements-0"])
     def test_out_of_range_values_exit_two_without_traceback(self, argv, message):
         proc = run_module(*argv, "--trials", "1")
         assert proc.returncode == 2
@@ -567,9 +693,10 @@ class TestCli:
          "spacing and wavelength must be positive"),
         ("tx = 10,0", "scenario geometry: all pairwise node distances must be positive"),
         ("noise_dbm = nan", "noise power must be nonnegative"),
+        ("propagation = adjacency:{ten}", "adjacency has 10 nodes, scenario needs 3"),
     ], ids=["angle-not-a-number", "adjacency-missing", "adjacency-ragged", "adjacency-entry-2",
             "spacing-negative", "random-placement-wavelength-zero", "surface-on-transmitter",
-            "noise-power-nan"])
+            "noise-power-nan", "adjacency-node-count"])
     def test_bad_scenario_file_exits_two_without_traceback(self, tmp_path, line, message):
         ragged = tmp_path / "ragged.txt"
         ragged.write_text("0 1\n1\n")
@@ -578,7 +705,7 @@ class TestCli:
         scenario = tmp_path / "s.cfg"
         scenario.write_text("surfaces = 1\nelements = 4\nsurface1 = 10,0\n"
                             + line.format(missing=tmp_path / "missing.txt", ragged=ragged,
-                                          two=two)
+                                          two=two, ten=PACKAGED_ADJACENCY)
                             + "\n")
         proc = run_module("compare", "--scenario", str(scenario), "--methods", "zero",
                           "--trials", "1")

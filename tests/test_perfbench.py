@@ -1,10 +1,44 @@
-"""The traced benchmark run wraps blindbeam functions by name."""
+"""The benchmark: its workloads still reproduce their reference CSVs, and the
+traced run wraps blindbeam functions by name."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
+
+
+def _bench_run():
+    """perfbench/run.py as a module, for its workloads and reference check."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _bench_run()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+def test_workload_matches_its_seed_zero_reference(workload, tmp_path):
+    # the benchmark rejects a run whose CSV drifts from its reference, so
+    # check seed 0 of each workload here, run as the benchmark runs it
+    out = tmp_path / "run.csv"
+    env = dict(os.environ, **BENCH.CHILD_ENV,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "blindbeam", *BENCH.WORKLOADS[workload].argv,
+                           "--seed", "0", "--out", str(out)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert BENCH.compare_csv(out.read_text(), BENCH.load_reference(workload, 0)) == []
 
 
 def test_layer_functions_exist():

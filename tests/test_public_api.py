@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "check_rank_one", "cpp_decide", "csm_decide", "dbm_to_watts",
     "default_scenario_path", "derive_rng", "dims", "direct_gain", "effective_channel",
     "expand_links_to_tensor",
-    "fit_loglog_slope", "forced_chain_edges", "gamma_min_double",
+    "fit_loglog_slope", "gamma_min_double",
     "generate_samples", "leakage_abs_sum", "lemma1_verify", "load_adjacency",
     "load_scenario", "los_link_channels", "make_d_instance", "max_leakage_scale",
     "nlos_link_channels", "packaged_scenario_path", "parse_config_file",

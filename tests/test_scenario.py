@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blindbeam
 from blindbeam import (
     AngleTable,
     Geometry,
@@ -11,7 +13,6 @@ from blindbeam import (
     dbm_to_watts,
     default_scenario_path,
     expand_links_to_tensor,
-    forced_chain_edges,
     load_adjacency,
     load_scenario,
     los_link_channels,
@@ -22,6 +23,18 @@ from blindbeam import (
     sample_propagation,
     steering_vector,
 )
+
+
+PACKAGED_ADJACENCY = Path(blindbeam.__file__).parent / "data" / "adjacency_10node.txt"
+
+
+def chain_map(num_surfaces):
+    """The relay chain tx -> surface 1 -> ... -> rx alone, built by hand."""
+    nn = num_surfaces + 2
+    a = np.zeros((nn, nn), dtype=bool)
+    for i in range(nn - 1):
+        a[i, i + 1] = a[i + 1, i] = True
+    return PropagationMap(a)
 
 
 def square_geometry():
@@ -85,12 +98,19 @@ class TestGeometry:
     def test_angle_table_from_geometry(self):
         g = square_geometry()
         t = AngleTable.from_geometry(g)
-        assert t.aod[1, 2] == pytest.approx(np.pi / 2)
-        assert t.aoa[2, 1] == pytest.approx(3 * np.pi / 2)  # arrival bearing back
+        assert t.rad[1, 2] == pytest.approx(np.pi / 2)
+        assert t.rad[2, 1] == pytest.approx(3 * np.pi / 2)  # arrival bearing back
+        assert t.rad[0, 0] == 0.0
 
     def test_angle_table_fixed(self):
         t = AngleTable.fixed(4, 0.3)
-        assert np.allclose(t.aod, 0.3) and np.allclose(t.aoa, 0.3)
+        assert t.rad.shape == (4, 4) and np.all(t.rad == 0.3)
+
+    def test_angle_table_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            AngleTable(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="finite"):
+            AngleTable(np.full((3, 3), np.nan))
 
 
 class TestLinkChannels:
@@ -110,6 +130,27 @@ class TestLinkChannels:
         # rank one by construction
         s = np.linalg.svd(m, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
+
+    def test_los_ramps_read_the_angle_at_each_surface(self):
+        # an asymmetric table, so reading rad[j, i] for rad[i, j] shows
+        g = square_geometry()
+        t = AngleTable(np.random.default_rng(1).uniform(0.0, 2 * np.pi, (4, 4)))
+
+        def ramp(i, j):
+            return steering_vector(3, t.rad[i, j], g.spacing_m, g.wavelength_m)
+
+        def phasor(i, j):
+            d = g.distance(i, j)
+            return pathloss_amplitude(d, True) * np.exp(-2j * np.pi * d / g.wavelength_m)
+
+        # tx -> surface 1: arrival at 1 from tx; surface 2 -> rx: departure
+        # from 2 toward rx; surface 1 -> surface 2: departure at 1, arrival at 2
+        assert np.allclose(los_link_channels(g, t, 0, 1, 3), phasor(0, 1) * ramp(1, 0),
+                           rtol=1e-13, atol=0)
+        assert np.allclose(los_link_channels(g, t, 2, 3, 3), phasor(2, 3) * ramp(2, 3),
+                           rtol=1e-13, atol=0)
+        assert np.allclose(los_link_channels(g, t, 1, 2, 3),
+                           phasor(1, 2) * np.outer(ramp(1, 2), ramp(2, 1)), rtol=1e-13, atol=0)
 
     def test_los_rejects_direct_pair(self):
         g = square_geometry()
@@ -141,19 +182,31 @@ class TestLinkChannels:
 
 
 class TestPropagation:
-    def test_forced_chain_edges(self):
-        assert forced_chain_edges(2) == [(0, 1), (1, 2), (2, 3)]
-        assert forced_chain_edges(1) == [(0, 1), (1, 2)]
-
     def test_eta_extremes(self):
         rng = np.random.default_rng(0)
-        forced = forced_chain_edges(2)
-        all_on = sample_propagation(1.0, forced, 4, rng)
+        all_on = sample_propagation(1.0, 2, rng)
         assert all(all_on.is_los(i, j) for i in range(4) for j in range(4) if i != j)
-        only_forced = sample_propagation(0.0, forced, 4, rng)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert only_forced.is_los(i, j) == ((i, j) in forced)
+        for L in (1, 2, 3):
+            only_chain = sample_propagation(0.0, L, rng)
+            assert np.array_equal(only_chain.los, chain_map(L).los)
+
+    def test_one_draw_per_pair_chain_included(self):
+        # the stream convention: pair (i, j), i < j, in row order takes one
+        # uniform draw each, the chain's pairs too, and is LoS below eta
+        eta = 0.4
+        rng = np.random.default_rng(11)
+        prop = sample_propagation(eta, 3, rng)
+        ref = np.random.default_rng(11)
+        want = chain_map(3).los.copy()
+        for i in range(5):
+            for j in range(i + 1, 5):
+                want[i, j] = want[j, i] = (ref.random() < eta) or want[i, j]
+        assert np.array_equal(prop.los, want)
+        assert rng.random() == ref.random()
+
+    def test_rejects_eta_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            sample_propagation(1.5, 2, np.random.default_rng(0))
 
     def test_map_validation(self):
         with pytest.raises(ValueError):
@@ -162,7 +215,7 @@ class TestPropagation:
             PropagationMap(np.array([[True, True], [True, False]]))
 
     def test_packaged_adjacency(self):
-        pm = load_adjacency()
+        pm = load_adjacency(PACKAGED_ADJACENCY)
         a = pm.los
         assert a.shape == (10, 10)
         assert np.array_equal(a, a.T)
@@ -174,11 +227,8 @@ class TestBuildGraph:
     def test_zero_nlos_chain_only(self):
         g = square_geometry()
         t = AngleTable.from_geometry(g)
-        a = np.zeros((4, 4), dtype=bool)
-        for i, j in forced_chain_edges(2):
-            a[i, j] = a[j, i] = True
-        graph = build_link_graph(g, t, PropagationMap(a), 3,
-                                 np.random.default_rng(0), zero_nlos=True)
+        graph = build_link_graph(g, t, chain_map(2), 3, np.random.default_rng(0),
+                                 zero_nlos=True)
         assert graph.tx_to_rx == 0
         assert np.all(graph.irs_to_rx[0] == 0)     # surface 1 -> rx not in chain
         assert np.all(graph.tx_to_irs[1] == 0)     # tx -> surface 2 not in chain
@@ -198,11 +248,8 @@ class TestBuildGraph:
     def test_seeded_reproducibility(self):
         g = square_geometry()
         t = AngleTable.from_geometry(g)
-        a = np.zeros((4, 4), dtype=bool)
-        for i, j in forced_chain_edges(2):
-            a[i, j] = a[j, i] = True
-        g1 = build_link_graph(g, t, PropagationMap(a), 3, np.random.default_rng(5))
-        g2 = build_link_graph(g, t, PropagationMap(a), 3, np.random.default_rng(5))
+        g1 = build_link_graph(g, t, chain_map(2), 3, np.random.default_rng(5))
+        g2 = build_link_graph(g, t, chain_map(2), 3, np.random.default_rng(5))
         t1 = expand_links_to_tensor(g1).entries
         t2 = expand_links_to_tensor(g2).entries
         assert np.array_equal(t1, t2)
