@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 
 from .beamforming import (
     BeamformingResult,
-    CsmTable,
     EmptyGroupError,
     cpp_decide,
     csm_decide,
@@ -24,14 +23,10 @@ from .beamforming import (
     zero_phase_baseline,
 )
 from .channel import (
-    NOISELESS,
-    ONE_DRAW,
     CascadedChannelTensor,
     LinkChannelGraph,
-    NoiseModel,
     RadioParams,
     SnrBoost,
-    averaged,
     direct_gain,
     dims,
     effective_channel,

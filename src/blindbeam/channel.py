@@ -46,44 +46,23 @@ class RadioParams:
             raise ValueError("noise power must be nonnegative")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """How a power measurement is taken.
-
-    kind = "noiseless":  |g|^2 * P exactly.
-    kind = "one_draw":   |g*sqrt(P) + z|^2 for one z ~ CN(0, sigma^2).
-    kind = "averaged":   mean of `draws` independent one-draw measurements.
-    """
-
-    kind: str = "noiseless"
-    draws: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("noiseless", "one_draw", "averaged"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "averaged" and self.draws < 1:
-            raise ValueError("averaged noise model needs draws >= 1")
-
-
-NOISELESS = NoiseModel("noiseless")
-ONE_DRAW = NoiseModel("one_draw")
-
-
-def averaged(draws: int) -> NoiseModel:
-    return NoiseModel("averaged", draws)
-
-
-def parse_noise_model(text: str) -> NoiseModel:
-    """Parse "noiseless", "one_draw", or "averaged:<M>"."""
+def parse_noise_model(text: str) -> int:
+    """Noise draws per measurement from "noiseless" (0), "one_draw" (1) or
+    "averaged:<M>" (M >= 1)."""
     t = text.strip().lower()
-    if t in ("noiseless", "one_draw"):
-        return NoiseModel(t)
+    if t == "noiseless":
+        return 0
+    if t == "one_draw":
+        return 1
     if t.startswith("averaged:"):
         try:
-            return averaged(int(t.split(":", 1)[1]))
+            draws = int(t.split(":", 1)[1])
         except ValueError:
+            draws = 0
+        if draws < 1:
             raise ValueError(f"averaged noise model needs an integer draw count >= 1, "
-                             f"got {text!r}") from None
+                             f"got {text!r}")
+        return draws
     if t == "averaged":
         raise ValueError("averaged noise model needs a draw count, e.g. averaged:100")
     raise ValueError(f"unknown noise model {text!r}")
@@ -435,24 +414,25 @@ def expand_links_to_tensor(graph: LinkChannelGraph) -> CascadedChannelTensor:
     return CascadedChannelTensor(out)
 
 
-def received_power(g, params: RadioParams, noise: NoiseModel = NOISELESS, rng=None):
+def received_power(g, params: RadioParams, noise_draws: int = 0, rng=None):
     """Received power for effective channel g (scalar or array).
 
-    Noiseless mode returns |g|^2 * P.  The other modes add circularly
-    symmetric complex Gaussian receiver noise of power sigma^2 to the received
-    symbol sqrt(P) * g before squaring; "averaged" averages `draws`
-    independent measurements.
+    With noise_draws = 0 this is |g|^2 * P exactly.  With noise_draws = M >= 1
+    it is the mean of M measurements |sqrt(P) * g + z|^2, each with its own
+    circularly symmetric complex Gaussian receiver noise z of power sigma^2,
+    drawn from rng.
     """
+    if noise_draws < 0:
+        raise ValueError(f"noise_draws must be nonnegative, got {noise_draws}")
     g = np.asarray(g, dtype=np.complex128)
     p = params.transmit_power_w
-    if noise.kind == "noiseless":
+    if noise_draws == 0:
         out = (g.real**2 + g.imag**2) * p
         return float(out) if out.ndim == 0 else out
     if rng is None:
-        raise ValueError(f"noise model {noise.kind!r} needs an rng")
-    m = 1 if noise.kind == "one_draw" else noise.draws
+        raise ValueError("noisy measurement needs an rng")
     scale = math.sqrt(params.noise_power_w / 2.0)
-    shape = (m,) + g.shape
+    shape = (noise_draws,) + g.shape
     z = rng.normal(0.0, scale, size=shape) + 1j * rng.normal(0.0, scale, size=shape)
     y = math.sqrt(p) * g + z
     out = np.mean(y.real**2 + y.imag**2, axis=0)

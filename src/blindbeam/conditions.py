@@ -132,7 +132,7 @@ def check_rank_one(matrix, tol: float = DEFAULT_TOL) -> RankOneCheck:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    factors, residual, ratio = recover_full_path_factors(m, tol)
+    factors, residual, ratio = recover_full_path_factors(m)
     if factors is None:
         return RankOneCheck(False, None, math.inf, math.inf, "zero matrix")
     if ratio > tol:
@@ -152,7 +152,7 @@ def _zero_entry(factors: RankOneFactors, tol: float) -> Optional[str]:
     return None
 
 
-def recover_full_path_factors(block: np.ndarray, tol: float = DEFAULT_TOL):
+def recover_full_path_factors(block: np.ndarray):
     """Peel per-surface factors off an all-active coefficient block.
 
     Returns (factors, residual_rel, worst_singular_ratio); factors is None
@@ -399,7 +399,7 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids,
     block = t.entries[(slice(1, None),) * L]
     notes = []
     if factors is None:
-        factors, residual, ratio = recover_full_path_factors(block, tol)
+        factors, residual, ratio = recover_full_path_factors(block)
         if factors is None:
             notes.append("d1: all-active block is numerically zero")
     else:

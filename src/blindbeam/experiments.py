@@ -29,8 +29,10 @@ from .beamforming import (
 )
 from .channel import (
     RadioParams,
+    effective_channel,
     expand_links_to_tensor,
     parse_noise_model,
+    received_power,
     snr_boost,
 )
 from .conditions import check_c_conditions, check_cprime, check_d_conditions, lemma1_verify
@@ -193,7 +195,7 @@ def _d_instance_grids(levels, num_surfaces: int):
     return grids
 
 
-def _noise_model(config: ExperimentConfig):
+def _noise_draws(config: ExperimentConfig) -> int:
     try:
         return parse_noise_model(config.get_str("noise", "noiseless"))
     except ValueError as e:
@@ -275,7 +277,7 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     methods = config.get_str("methods", "csm,cpp").replace(",", " ").split()
     rule_text = config.get_str("t_rule", "linear:20")
     t_rule = parse_t_rule(rule_text)
-    noise = _noise_model(config)
+    noise_draws = _noise_draws(config)
     margin = config.get_float("leakage_margin", 0.5)
     if not (0.0 <= margin <= 1.0):
         raise ConfigError(f"leakage_margin must lie in [0, 1], got {margin}")
@@ -303,12 +305,12 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
             for method in methods:
                 start = time.perf_counter()
                 if method == "cpp":
-                    res = sequential_cpp_oracle(inst.tensor, grids, params)
+                    res = sequential_cpp_oracle(inst.tensor, grids)
                     t_used = 0
                 else:
                     t_used = t_csm[n]
                     res = sequential_csm(
-                        inst.tensor, grids, t_used, params, noise,
+                        inst.tensor, grids, t_used, params, noise_draws,
                         derive_rng(seed, trial, TAG_SAMPLING, n),
                     )
                 out.append(_record("scaling", seed, trial, method, grids, n, t_used,
@@ -375,30 +377,28 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"unknown compare methods {sorted(bad)}; pick from {list(COMPARE_METHODS)}")
     rule_text = config.get_str("t_rule", "fixed:1000")
     t_rule = parse_t_rule(rule_text)
-    budget_per_surface = config.get_int("budget_per_surface", 1000)
-    noise = _noise_model(config)
+    noise_draws = _noise_draws(config)
+    if "random" in methods or "virtual" in methods:
+        budget = scenario.num_surfaces * config.get_count("budget_per_surface", 1000)
     if "csm" in methods:
         t_csm = _samples_per_surface(t_rule, rule_text, n, scenario.grids)
 
     def one_trial(trial: int) -> list:
         graph, grids, params = realize_scenario(scenario, seed, trial, n)
-        L = scenario.num_surfaces
         out = []
         for method in methods:
             rng = derive_rng(seed, trial, TAG_SAMPLING, COMPARE_METHODS.index(method))
             start = time.perf_counter()
             if method == "zero":
-                res = zero_phase_baseline(graph, params, grids)
+                res = zero_phase_baseline(graph, grids)
             elif method == "random":
-                res = random_beamforming(graph, grids, L * budget_per_surface,
-                                         params, noise, rng)
+                res = random_beamforming(graph, grids, budget, params, noise_draws, rng)
             elif method == "virtual":
-                res = virtual_single_irs(graph, grids, L * budget_per_surface,
-                                         params, noise, rng)
+                res = virtual_single_irs(graph, grids, budget, params, noise_draws, rng)
             elif method == "csm":
-                res = sequential_csm(graph, grids, t_csm, params, noise, rng)
+                res = sequential_csm(graph, grids, t_csm, params, noise_draws, rng)
             else:
-                res = sequential_cpp_oracle(graph, grids, params)
+                res = sequential_cpp_oracle(graph, grids)
             out.append(_record("compare", seed, trial, method, grids, n, res.evaluations,
                                *_boost_metric(graph, res.assignment, params),
                                wall_s=time.perf_counter() - start))
@@ -526,7 +526,7 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
             powers = []
             for n in n_list:
                 fx = build_example(example_id, variant, n, beta)
-                res = sequential_cpp_oracle(fx.tensor, fx.grids, params)
+                res = sequential_cpp_oracle(fx.tensor, fx.grids)
                 for ell in range(2):
                     got = res.assignment.indices[ell]
                     want = fx.expected_indices[ell]
@@ -535,7 +535,7 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
                             f"{method} N={n}: surface {ell + 1} decisions "
                             f"{got.tolist()} != expected {want.tolist()}"
                         )
-                power = res.stage_powers[-1]
+                power = received_power(effective_channel(fx.tensor, res.assignment), params)
                 powers.append(power)
                 records.append(_record("examples", seed, 0, method, fx.grids, n, 0,
                                        "power_watts", power))
@@ -576,7 +576,6 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     if not (0.0 < margin <= 1.0):
         raise ConfigError(f"leakage_margin must lie in (0, 1], got {margin}")
     grids = _d_instance_grids(levels, L)
-    params = RadioParams(transmit_power_w=1.0)
 
     def one_trial(trial: int) -> tuple:
         inst = make_d_instance(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL),
@@ -584,7 +583,7 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
         # a single surface has no leakage paths, so no margin angle is needed
         gamma = (check_d_conditions(inst.tensor, grids, factors=inst.factors).gamma_min
                  if L >= 2 else 0.0)
-        res = sequential_cpp_oracle(inst.tensor, grids, params)
+        res = sequential_cpp_oracle(inst.tensor, grids)
         rep = lemma1_verify(inst.tensor, inst.factors, grids, res.assignment, gamma)
         record = _record("lemma-check", seed, trial, "cpp", grids, n, 0, "deviation_rad",
                          rep.max_deviation)

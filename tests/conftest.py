@@ -24,6 +24,8 @@ from blindbeam.beamforming import _GroupSums, _sequential
 # Keep exhaustive enumeration honest but bounded.
 MAX_EXACT_CONFIGS = 10**6
 
+UNIT_POWER = RadioParams(transmit_power_w=1.0)
+
 
 def brute_force_gain(tensor: CascadedChannelTensor, phases: PhaseAssignment) -> complex:
     """Path-sum oracle: explicit loop over every index tuple."""
@@ -111,6 +113,12 @@ class IndexSetSpec:
             yield tup
 
 
+def final_power(channel, result: BeamformingResult) -> float:
+    """Noiseless received power of an optimizer's assignment at unit
+    transmit power."""
+    return received_power(effective_channel(channel, result.assignment), UNIT_POWER)
+
+
 def exact_csm_small(channel, grids) -> BeamformingResult:
     """Sequential optimizer using exact conditional means.
 
@@ -120,35 +128,31 @@ def exact_csm_small(channel, grids) -> BeamformingResult:
     are invariant to the power scale.
     """
     n = dims(channel)[1]
-    params = RadioParams(transmit_power_w=1.0)
 
-    def decide(ell, grid, c0, c):
+    def decide(grid, c0, c):
         k = grid.num_levels
         total = k**n
         if total > MAX_EXACT_CONFIGS:
-            raise ValueError(
-                f"exact enumeration needs {total} configurations for surface "
-                f"{ell + 1}, above the {MAX_EXACT_CONFIGS} cap"
-            )
+            raise ValueError(f"exact enumeration needs {total} configurations per "
+                             f"surface, above the {MAX_EXACT_CONFIGS} cap")
         # decode 0..K^N-1 into mixed-radix index rows, most significant first
         codes = np.arange(total)
         idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
         groups = _GroupSums(n, k)
-        groups.add(idx, received_power(c0 + grid.factor_table()[idx] @ c, params))
-        return csm_decide(groups.table()), total
+        groups.add(idx, received_power(c0 + grid.factor_table()[idx] @ c, UNIT_POWER))
+        return csm_decide(groups.means()), total
 
-    return _sequential("exact_csm", channel, grids, params, decide)
+    return _sequential(channel, grids, decide)
 
 
-def exhaustive_search(channel, grids, params=None):
+def exhaustive_search(channel, grids):
     """Global optimum by full enumeration of all K^(L*N) joint assignments.
 
     Only feasible for tiny systems; used as a reference ceiling.  Returns
-    (assignment, noiseless power).
+    (assignment, noiseless power at unit transmit power).
     """
     L, n = dims(channel)
     grids = as_grids(grids, L)
-    params = params or RadioParams()
     total = math.prod(g.num_levels**n for g in grids)
     if total > MAX_EXACT_CONFIGS:
         raise ValueError(f"{total} joint assignments exceed the enumeration cap")
@@ -156,7 +160,7 @@ def exhaustive_search(channel, grids, params=None):
     per_surface = [list(product(range(g.num_levels), repeat=n)) for g in grids]
     for combo in product(*per_surface):
         assignment = PhaseAssignment(grids, tuple(np.asarray(c, dtype=np.int64) for c in combo))
-        p = received_power(effective_channel(channel, assignment), params)
+        p = received_power(effective_channel(channel, assignment), UNIT_POWER)
         if p > best[0]:
             best = (p, assignment)
     return best[1], best[0]

@@ -198,8 +198,8 @@ def test_criterion_08_blind_decisions_match_oracle_at_stated_budget():
     fractions = []
     for seed in range(20):
         graph, grids, params = realize_scenario(scenario, seed=seed, trial=0)
-        blind = sequential_csm(graph, grids, budget, params,
-                               rng=derive_rng(seed, 0, TAG_SAMPLING))
+        blind = sequential_csm(graph, grids, budget, params, 0,
+                               derive_rng(seed, 0, TAG_SAMPLING))
         state = PhaseAssignment.zeros(grids, blind.assignment.num_elements)
         agree = []
         for ell in range(2):

@@ -3,19 +3,17 @@ import pytest
 
 from blindbeam import (
     CascadedChannelTensor,
-    CsmTable,
     EmptyGroupError,
-    NOISELESS,
-    PhaseAssignment,
     PhaseGrid,
     RadioParams,
     as_grids,
     build_example,
     cpp_decide,
     csm_decide,
-    effective_channel,
+    expand_links_to_tensor,
     generate_samples,
     random_beamforming,
+    received_power,
     sequential_cpp_oracle,
     sequential_csm,
     virtual_single_irs,
@@ -23,7 +21,8 @@ from blindbeam import (
     zero_phase_baseline,
 )
 from blindbeam.beamforming import _GroupSums
-from conftest import exact_csm_small, exhaustive_search, random_graph, random_tensor
+from conftest import (exact_csm_small, exhaustive_search, final_power, random_graph,
+                      random_tensor)
 
 P1 = RadioParams(transmit_power_w=1.0)
 
@@ -45,36 +44,24 @@ class TestCsmTable:
         g = 1.0 + np.exp(1j * grid.omega * idx) @ np.array([1.0, 1.0j])
         groups = _GroupSums(2, grid.num_levels)
         groups.add(idx, np.abs(g) ** 2)
-        table = groups.table()
-        assert np.allclose(table.means[0], [5.0, 1.0])
-        assert np.allclose(table.means[1], [3.0, 3.0])
-        assert np.all(table.counts == 2)
+        assert np.allclose(groups.means(), [[5.0, 1.0], [3.0, 3.0]])
+        assert np.all(groups.counts == 2)
 
     def test_decide_prefers_smallest_on_ties(self):
-        table = CsmTable(np.array([[5.0, 1.0], [3.0, 3.0]]),
-                         np.array([[2, 2], [2, 2]]))
-        assert csm_decide(table).tolist() == [0, 0]
-        table = CsmTable(np.array([[1.0, 3.0, 2.0, 3.0]]), np.array([[1, 1, 1, 1]]))
-        assert csm_decide(table).tolist() == [1]
+        assert csm_decide(np.array([[5.0, 1.0], [3.0, 3.0]])).tolist() == [0, 0]
+        assert csm_decide(np.array([[1.0, 3.0, 2.0, 3.0]])).tolist() == [1]
 
     def test_decide_scale_invariant(self):
         means = np.array([[1.0, 3.0, 2.0, 0.5]])
-        counts = np.array([[3, 3, 3, 3]])
-        a = csm_decide(CsmTable(means, counts))
-        b = csm_decide(CsmTable(means * 1e6, counts))
-        assert np.array_equal(a, b)
+        assert np.array_equal(csm_decide(means), csm_decide(means * 1e6))
 
     def test_empty_group_is_named(self):
         groups = _GroupSums(1, 2)
         groups.add(np.array([[0], [0]]), np.array([1.0, 2.0]))
         with pytest.raises(EmptyGroupError) as exc:
-            groups.table()
+            groups.means()
         assert exc.value.element == 0 and exc.value.phase_index == 1
         assert "element 1" in str(exc.value)
-
-    def test_table_validates_row_totals(self):
-        with pytest.raises(ValueError):
-            CsmTable(np.ones((2, 2)), np.array([[2, 2], [3, 2]]))
 
     def test_generate_samples_uniform(self):
         rng = np.random.default_rng(0)
@@ -135,17 +122,16 @@ class TestSequentialCsm:
     def test_flat_channel_decides_zero(self):
         t = np.zeros((3, 3), dtype=complex)
         t[0, 0] = 1.0
-        res = sequential_csm(CascadedChannelTensor(t), 4, 64, P1,
-                             rng=np.random.default_rng(0))
+        res = sequential_csm(CascadedChannelTensor(t), 4, 64, P1, 0, np.random.default_rng(0))
         for ell in range(2):
             assert res.assignment.indices[ell].tolist() == [0, 0]
 
     def test_evaluation_count(self, rng):
         tensor = random_tensor(rng, 2, 3)
-        res = sequential_csm(tensor, 4, 50, P1, rng=rng)
+        res = sequential_csm(tensor, 4, 50, P1, 0, rng)
         assert res.evaluations == 100
-        res = sequential_csm(tensor, 4, [30, 70], P1, rng=rng)
-        assert res.evaluations == 100
+        res = sequential_csm(random_tensor(rng, 3, 3), 4, (1 << 16) + 5, P1, 1, rng)
+        assert res.evaluations == 3 * ((1 << 16) + 5)
 
     def test_converges_to_exact_with_many_samples(self, rng):
         matched = 0
@@ -154,24 +140,19 @@ class TestSequentialCsm:
             r = np.random.default_rng(seed)
             tensor = random_tensor(r, 1, 3)
             exact = exact_csm_small(tensor, 4)
-            sampled = sequential_csm(tensor, 4, 100_000, P1,
-                                     rng=np.random.default_rng(seed + 1000))
+            sampled = sequential_csm(tensor, 4, 100_000, P1, 0,
+                                     np.random.default_rng(seed + 1000))
             matched += int(np.array_equal(exact.assignment.indices[0],
                                           sampled.assignment.indices[0]))
             total += 1
         assert matched >= 9
 
     def test_noisy_mode_needs_rng(self, rng):
-        from blindbeam import averaged
         tensor = random_tensor(rng, 1, 2)
-        with pytest.raises(ValueError):
-            sequential_csm(tensor, 4, 16, P1, noise=averaged(4), rng=None)
-
-    def test_stage_powers_trace_length(self, rng):
-        tensor = random_tensor(rng, 3, 2)
-        res = sequential_csm(tensor, 4, 64, P1, rng=rng)
-        assert len(res.stage_powers) == 3
-        assert res.method == "csm"
+        with pytest.raises(TypeError):
+            sequential_csm(tensor, 4, 16, P1, 4)
+        with pytest.raises(ValueError, match="needs an rng"):
+            received_power(np.ones(16), P1, 4)
 
 
 class TestExactCsm:
@@ -191,7 +172,7 @@ class TestExactCsm:
             tensor = random_tensor(rng, 2, 3)
             grids = as_grids(4, 2)
             a = exact_csm_small(tensor, grids).assignment
-            b = sequential_cpp_oracle(tensor, grids, P1).assignment
+            b = sequential_cpp_oracle(tensor, grids).assignment
             for ell in range(2):
                 checked += tensor.num_elements
                 agree += int(np.sum(a.indices[ell] == b.indices[ell]))
@@ -206,9 +187,8 @@ class TestExactCsm:
 class TestCppOracle:
     def test_takes_no_measurements(self, rng):
         tensor = random_tensor(rng, 2, 3)
-        res = sequential_cpp_oracle(tensor, 4, P1)
+        res = sequential_cpp_oracle(tensor, 4)
         assert res.evaluations == 0
-        assert res.method == "cpp"
 
     def test_single_surface_matches_scalar_rule(self, rng):
         # each element takes the grid phase that maximizes its projection
@@ -216,47 +196,52 @@ class TestCppOracle:
         grid = PhaseGrid(4)
         for _ in range(20):
             coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            res = sequential_cpp_oracle(single_surface_tensor(coeffs), grid, P1)
+            res = sequential_cpp_oracle(single_surface_tensor(coeffs), grid)
             proj = np.real(np.conj(coeffs[0]) * coeffs[1:, None] * grid.factor_table())
             assert res.assignment.indices[0].tolist() == np.argmax(proj, axis=1).tolist()
 
     def test_improves_over_zero_phases(self, rng):
         for _ in range(10):
             tensor = random_tensor(rng, 2, 4)
-            res = sequential_cpp_oracle(tensor, 4, P1)
-            base = zero_phase_baseline(tensor, P1)
-            assert res.stage_powers[-1] >= base.stage_powers[0] - 1e-12
+            res = sequential_cpp_oracle(tensor, 4)
+            base = zero_phase_baseline(tensor, 4)
+            assert final_power(tensor, res) >= final_power(tensor, base) - 1e-12
 
 
 class TestBaselines:
     def test_zero_phase_power(self, rng):
         tensor = random_tensor(rng, 2, 3)
-        res = zero_phase_baseline(tensor, P1)
+        res = zero_phase_baseline(tensor, [2, 4])
         want = abs(tensor.entries.sum()) ** 2
-        assert res.stage_powers[0] == pytest.approx(want)
+        assert final_power(tensor, res) == pytest.approx(want)
         assert res.evaluations == 0
+        assert [g.num_levels for g in res.assignment.grids] == [2, 4]
 
     def test_random_budget_monotone(self, rng):
         tensor = random_tensor(rng, 2, 3)
-        small = random_beamforming(tensor, 4, 20, P1, rng=np.random.default_rng(9))
-        large = random_beamforming(tensor, 4, 500, P1, rng=np.random.default_rng(9))
-        assert large.stage_powers[0] >= small.stage_powers[0]
+        small = random_beamforming(tensor, 4, 20, P1, 0, np.random.default_rng(9))
+        large = random_beamforming(tensor, 4, 500, P1, 0, np.random.default_rng(9))
+        assert final_power(tensor, large) >= final_power(tensor, small)
+        assert (small.evaluations, large.evaluations) == (20, 500)
 
     def test_random_needs_rng(self, rng):
         tensor = random_tensor(rng, 2, 3)
-        with pytest.raises(ValueError):
-            random_beamforming(tensor, 4, 10, P1)
+        with pytest.raises(TypeError):
+            random_beamforming(tensor, 4, 10, P1, 0)
+        with pytest.raises(TypeError):
+            virtual_single_irs(tensor, 4, 10, P1, 0)
 
     def test_virtual_requires_equal_grids(self, rng):
         tensor = random_tensor(rng, 2, 3)
         with pytest.raises(ValueError):
-            virtual_single_irs(tensor, [2, 4], 100, P1, rng=rng)
+            virtual_single_irs(tensor, [2, 4], 100, P1, 0, rng)
 
     def test_virtual_single_surface_equals_sequential(self, rng):
         tensor = random_tensor(rng, 1, 3)
-        a = virtual_single_irs(tensor, 4, 2000, P1, rng=np.random.default_rng(4))
-        b = sequential_csm(tensor, 4, 2000, P1, rng=np.random.default_rng(4))
+        a = virtual_single_irs(tensor, 4, 2000, P1, 1, np.random.default_rng(4))
+        b = sequential_csm(tensor, 4, 2000, P1, 1, np.random.default_rng(4))
         assert np.array_equal(a.assignment.indices[0], b.assignment.indices[0])
+        assert a.evaluations == b.evaluations == 2000
 
     def test_virtual_blind_to_pure_product_channel(self):
         # with every path through both surfaces, the marginal means carry no
@@ -268,21 +253,21 @@ class TestBaselines:
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         t[1:, 1:] = np.outer(u, v)
         tensor = CascadedChannelTensor(t)
-        oracle = sequential_cpp_oracle(tensor, 4, P1)
-        virt = virtual_single_irs(tensor, 4, 4000, P1, rng=rng)
-        assert oracle.stage_powers[-1] > 2.0 * virt.stage_powers[0]
+        oracle = sequential_cpp_oracle(tensor, 4)
+        virt = virtual_single_irs(tensor, 4, 4000, P1, 0, rng)
+        assert final_power(tensor, oracle) > 2.0 * final_power(tensor, virt)
 
     def test_exhaustive_is_a_ceiling(self, rng):
         for _ in range(5):
             tensor = random_tensor(rng, 2, 2)
-            _, best = exhaustive_search(tensor, 2, P1)
+            _, best = exhaustive_search(tensor, 2)
             exact = exact_csm_small(tensor, 2)
-            assert best >= exact.stage_powers[-1] - 1e-12
+            assert best >= final_power(tensor, exact) - 1e-12
 
     def test_exhaustive_cap(self, rng):
         tensor = random_tensor(rng, 2, 4)
         with pytest.raises(ValueError):
-            exhaustive_search(tensor, 32, P1)
+            exhaustive_search(tensor, 32)
 
 
 class TestExamplesEndToEnd:
@@ -292,7 +277,7 @@ class TestExamplesEndToEnd:
     def test_oracle_reproduces_documented_decisions(self, example_id, variant):
         for n in (3, 5, 9):
             fx = build_example(example_id, variant, n)
-            res = sequential_cpp_oracle(fx.tensor, fx.grids, P1)
+            res = sequential_cpp_oracle(fx.tensor, fx.grids)
             for ell in range(2):
                 assert np.array_equal(res.assignment.indices[ell],
                                       fx.expected_indices[ell]), (
@@ -317,39 +302,33 @@ class TestExamplesEndToEnd:
         fx = build_example(1, "good", 3)
         res = exact_csm_small(fx.tensor, fx.grids)
         assert res.assignment.indices[0].tolist() == [0, 0, 0]
-        oracle = sequential_cpp_oracle(fx.tensor, fx.grids, P1)
+        oracle = sequential_cpp_oracle(fx.tensor, fx.grids)
         assert oracle.assignment.indices[0].tolist() == [0, 2, 0]
 
     def test_closed_form_powers(self):
         for n in (3, 5):
-            fx = build_example(1, "good", n)
-            res = sequential_cpp_oracle(fx.tensor, fx.grids, P1)
-            assert res.stage_powers[-1] == pytest.approx(float(n) ** 4)
-            fx = build_example(1, "bad", n)
-            res = sequential_cpp_oracle(fx.tensor, fx.grids, P1)
-            assert res.stage_powers[-1] == pytest.approx(float(2 * n + 1) ** 2)
-            fx = build_example(3, "bad", n)
-            res = sequential_cpp_oracle(fx.tensor, fx.grids, P1)
-            assert res.stage_powers[-1] == pytest.approx(float(3 * n) ** 2)
-            fx = build_example(3, "good", n)
-            res = sequential_cpp_oracle(fx.tensor, fx.grids, P1)
-            assert res.stage_powers[-1] == pytest.approx(float(n * n + 2 * n) ** 2)
+            for example_id, variant, want in ((1, "good", n ** 4), (1, "bad", (2 * n + 1) ** 2),
+                                              (3, "bad", (3 * n) ** 2),
+                                              (3, "good", (n * n + 2 * n) ** 2)):
+                fx = build_example(example_id, variant, n)
+                res = sequential_cpp_oracle(fx.tensor, fx.grids)
+                assert final_power(fx.tensor, res) == pytest.approx(float(want))
 
 
 class TestGraphPath:
     def test_sequential_runs_on_link_graphs(self, rng):
         graph = random_graph(rng, 2, 3)
-        res = sequential_csm(graph, 4, 200, P1, rng=rng)
+        res = sequential_csm(graph, 4, 200, P1, 0, rng)
         assert res.assignment.num_surfaces == 2
-        # replaying the assignment reproduces the final stage power
-        p = abs(effective_channel(graph, res.assignment)) ** 2
-        assert res.stage_powers[-1] == pytest.approx(p)
+        assert res.evaluations == 400
+        # the graph and its expanded tensor give the assignment the same power
+        tensor = expand_links_to_tensor(graph)
+        assert final_power(graph, res) == pytest.approx(final_power(tensor, res))
 
     def test_oracle_graph_equals_oracle_tensor(self, rng):
-        from blindbeam import expand_links_to_tensor
         graph = random_graph(rng, 2, 3)
         tensor = expand_links_to_tensor(graph)
-        a = sequential_cpp_oracle(graph, 4, P1).assignment
-        b = sequential_cpp_oracle(tensor, 4, P1).assignment
+        a = sequential_cpp_oracle(graph, 4).assignment
+        b = sequential_cpp_oracle(tensor, 4).assignment
         for ell in range(2):
             assert np.array_equal(a.indices[ell], b.indices[ell])

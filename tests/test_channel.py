@@ -6,12 +6,9 @@ import pytest
 from blindbeam import (
     CascadedChannelTensor,
     LinkChannelGraph,
-    NOISELESS,
-    ONE_DRAW,
     PhaseAssignment,
     RadioParams,
     as_grids,
-    averaged,
     build_example,
     direct_gain,
     effective_channel,
@@ -281,18 +278,37 @@ class TestReceivedPower:
         assert p == pytest.approx(8.0)
 
     def test_noiseless_ignores_rng(self):
-        p = received_power(1j, RadioParams(transmit_power_w=1.0), NOISELESS, None)
+        p = received_power(1j, RadioParams(transmit_power_w=1.0), 0, None)
         assert p == pytest.approx(1.0)
 
     def test_one_draw_varies(self, rng):
         params = RadioParams(transmit_power_w=1.0, noise_power_w=0.1)
-        a = received_power(2.0, params, ONE_DRAW, rng)
-        b = received_power(2.0, params, ONE_DRAW, rng)
+        a = received_power(2.0, params, 1, rng)
+        b = received_power(2.0, params, 1, rng)
         assert a != b
+
+    def test_noisy_needs_rng_and_draws_are_nonnegative(self):
+        params = RadioParams(transmit_power_w=1.0, noise_power_w=0.1)
+        with pytest.raises(ValueError, match="needs an rng"):
+            received_power(2.0, params, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            received_power(2.0, params, -1, np.random.default_rng(0))
+
+    def test_draw_count_is_the_mean_of_that_many_measurements(self):
+        # M draws from one stream average the M one-draw measurements the
+        # same stream gives, drawn as one (M, B) block of real then imaginary
+        # parts
+        params = RadioParams(transmit_power_w=2.0, noise_power_w=0.3)
+        g = np.array([1.0, 2.0 - 1j, 0.5j])
+        got = received_power(g, params, 3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        re, im = rng.normal(0.0, np.sqrt(0.15), (2, 3, 3))
+        want = np.mean(np.abs(np.sqrt(2.0) * g + re + 1j * im) ** 2, axis=0)
+        assert np.allclose(got, want, rtol=1e-14)
 
     def test_averaged_converges(self, rng):
         params = RadioParams(transmit_power_w=1.0, noise_power_w=0.04)
-        p = received_power(2.0, params, averaged(100_000), rng)
+        p = received_power(2.0, params, 100_000, rng)
         # E = |g|^2 P + sigma^2, SE about 1.8e-3; allow 5 SE
         assert p == pytest.approx(4.04, abs=0.01)
 
@@ -302,12 +318,12 @@ class TestReceivedPower:
         assert np.allclose(p, [1.0, 4.0, 1.0])
 
     def test_parse_noise_model(self):
-        assert parse_noise_model("noiseless").kind == "noiseless"
-        assert parse_noise_model("one_draw").kind == "one_draw"
-        m = parse_noise_model("averaged:32")
-        assert m.kind == "averaged" and m.draws == 32
-        with pytest.raises(ValueError):
-            parse_noise_model("sometimes")
+        assert parse_noise_model("noiseless") == 0
+        assert parse_noise_model("one_draw") == parse_noise_model("averaged:1") == 1
+        assert parse_noise_model("averaged:32") == 32
+        for text in ("sometimes", "averaged", "averaged:0", "averaged:x"):
+            with pytest.raises(ValueError):
+                parse_noise_model(text)
 
 
 class TestSnrBoost:

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -424,7 +423,7 @@ class TestCompareRunner:
         assert len(result.records) == 2 * 3
         sc = load_scenario(default_scenario_path())
         graph, grids, params = realize_scenario(sc, seed=0, trial=0, num_elements=6)
-        res = zero_phase_baseline(graph, params, grids)
+        res = zero_phase_baseline(graph, grids)
         want = snr_boost(graph, res.assignment, params).value
         got = next(r for r in result.records if r.method == "zero" and r.trial == 0)
         assert got.metric_value == pytest.approx(want, rel=1e-12)
@@ -587,10 +586,8 @@ class TestCli:
     def test_empty_csm_group_exits_two(self, tmp_path, capsys):
         # four probes over 4 phase bins and 100 elements leave some bin empty
         out = tmp_path / "x.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["compare", "--t-rule", "fixed:4", "--trials", "1",
-                       "--methods", "csm", "--out", str(out)])
+        rc = main(["compare", "--t-rule", "fixed:4", "--trials", "1",
+                   "--methods", "csm", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: no samples hit element")
@@ -637,6 +634,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "config error: elements must be positive, got 0\n"
 
+    def test_zero_budget_is_read_only_by_random_and_virtual(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = main(["compare", "--elements", "4", "--trials", "1", "--t-rule", "fixed:40",
+                   "--budget-per-surface", "0", "--methods", "zero,csm,cpp",
+                   "--out", str(out)])
+        assert rc == 0
+        assert [row.split(",")[3] for row in out.read_text().splitlines()[1:4]] == [
+            "cpp", "csm", "zero"]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exits_two(self, threads, capsys):
         rc = main(["lemma-check", "--trials", "2", "--threads", threads])
@@ -672,10 +679,15 @@ class TestCli:
         (["lemma-check", "-L", "0"], "surfaces must be positive, got 0"),
         (["lemma-check", "-N", "0"], "elements must be positive, got 0"),
         (["conditions", "-N", "0"], "elements must be positive, got 0"),
+        (["compare", "--budget-per-surface", "0", "--methods", "random"],
+         "budget_per_surface must be positive, got 0"),
+        (["compare", "--budget-per-surface", "0", "--methods", "zero,virtual"],
+         "budget_per_surface must be positive, got 0"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
             "lemma-margin-1.5", "scaling-margin-neg", "scaling-t-rule-below-k",
             "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k", "scaling-surfaces-0",
-            "lemma-surfaces-0", "lemma-elements-0", "conditions-elements-0"])
+            "lemma-surfaces-0", "lemma-elements-0", "conditions-elements-0",
+            "compare-budget-0-random", "compare-budget-0-virtual"])
     def test_out_of_range_values_exit_two_without_traceback(self, argv, message):
         proc = run_module(*argv, "--trials", "1")
         assert proc.returncode == 2

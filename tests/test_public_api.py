@@ -8,11 +8,11 @@ import blindbeam
 
 PUBLIC_NAMES = [
     "AngleTable", "BeamformingResult", "CSV_HEADER", "CascadedChannelTensor",
-    "ConditionReport", "ConfigError", "CsmTable", "DInstance", "EmptyGroupError",
+    "ConditionReport", "ConfigError", "DInstance", "EmptyGroupError",
     "ExampleFixture", "ExperimentConfig", "ExperimentResult", "Geometry", "Lemma1Report",
-    "LinkChannelGraph", "NOISELESS", "NoiseModel", "ONE_DRAW", "PhaseAssignment",
+    "LinkChannelGraph", "PhaseAssignment",
     "PhaseGrid", "PropagationMap", "RadioParams", "RankOneCheck", "RankOneFactors",
-    "RunRecord", "Scenario", "SnrBoost", "as_grids", "averaged",
+    "RunRecord", "Scenario", "SnrBoost", "as_grids",
     "build_example", "build_link_graph",
     "check_c_conditions", "check_cprime", "check_d_conditions",
     "check_rank_one", "cpp_decide", "csm_decide", "dbm_to_watts",
