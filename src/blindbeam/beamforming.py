@@ -35,8 +35,13 @@ from .channel import (
 )
 from .phases import PhaseAssignment, PhaseGrid, as_grids, wrap_angle
 
-# Measurement chunk size for large sample counts.
+# Probes per measurement chunk: each chunk draws its noise in one call, after
+# all its phase indices, so this is the noise boundary of every RNG stream.
 _CHUNK = 1 << 16
+# Entries (rows x width) per compute block within a chunk.  It bounds every
+# (rows, width) temporary of the draw, the gain evaluation and the binning;
+# picked by a sweep from 2**16 to 2**22 (see CHANGES.md).
+_BLOCK = 1 << 18
 
 
 class EmptyGroupError(ValueError):
@@ -54,9 +59,10 @@ class EmptyGroupError(ValueError):
 class _GroupSums:
     """Running power sums and sample counts per (element, phase index).
 
-    Each chunk is binned by one bincount over the flat index n * K + k in
+    Each block is binned by one bincount over the flat index n * K + k in
     row-major (sample, element) order, so every group accumulates its powers
-    in sample order.
+    in sample order.  Callers add blocks of at most _BLOCK entries, which
+    bounds the flat index and the repeated powers that add() builds.
     """
 
     def __init__(self, num_elements: int, num_levels: int):
@@ -148,6 +154,37 @@ def _sequential(channel: Channel, grids, decide) -> BeamformingResult:
     return BeamformingResult(phases, evaluations)
 
 
+def _csm_means(width: int, grid: PhaseGrid, total: int, evaluate, params: RadioParams,
+               noise_draws: int, rng) -> np.ndarray:
+    """(width, K) conditional means of `total` uniform probes of `width`
+    elements on one grid.
+
+    Each chunk of up to _CHUNK probes draws its phase indices, takes the
+    noiseless effective channel evaluate(indices) -> (rows,) complex, measures
+    every power of the chunk in one received_power call and bins them.  The
+    draw, the evaluation and the binning run in blocks of at most _BLOCK
+    entries; only the chunk's indices are kept whole, in one compact buffer
+    (uint8 when K <= 256).  A row-split draw returns the same indices as one
+    draw, so the RNG stream is that of drawing each chunk whole.
+    """
+    groups = _GroupSums(width, grid.num_levels)
+    dtype = np.uint8 if grid.num_levels <= 256 else np.int64
+    step = max(1, _BLOCK // width)
+    for start in range(0, total, _CHUNK):
+        rows = min(_CHUNK, total - start)
+        idx = np.empty((rows, width), dtype=dtype)
+        g = np.empty(rows, dtype=np.complex128)
+        blocks = range(0, rows, step)
+        for b in blocks:
+            block = idx[b:b + step]
+            block[:] = generate_samples(width, grid, len(block), rng)
+            g[b:b + step] = evaluate(block)
+        powers = received_power(g, params, noise_draws, rng)
+        for b in blocks:
+            groups.add(idx[b:b + step], powers[b:b + step])
+    return groups.means()
+
+
 def sequential_csm(channel: Channel, grids, samples_per_surface: int,
                    params: RadioParams, noise_draws: int, rng) -> BeamformingResult:
     """Blind sequential optimizer: one conditional-sample-mean pass per surface.
@@ -157,18 +194,18 @@ def sequential_csm(channel: Channel, grids, samples_per_surface: int,
     samples_per_surface probes uniformly, measures received power with
     noise_draws noisy draws each, and keeps the per-element argmax of the
     conditional means.  Exactly L * samples_per_surface power measurements
-    are taken, processed in chunks and never materialized whole.
+    are taken and never materialized whole: the working set is one compact
+    index buffer per chunk of _CHUNK probes plus temporaries of at most
+    _BLOCK entries (see _csm_means).
     """
     n = dims(channel)[1]
     t = samples_per_surface
 
     def decide(grid, c0, c):
         lut = grid.factor_table()
-        groups = _GroupSums(n, grid.num_levels)
-        for start in range(0, t, _CHUNK):
-            idx = generate_samples(n, grid, min(_CHUNK, t - start), rng)
-            groups.add(idx, received_power(c0 + lut[idx] @ c, params, noise_draws, rng))
-        return csm_decide(groups.means()), t
+        means = _csm_means(n, grid, t, lambda idx: c0 + lut[idx] @ c, params,
+                           noise_draws, rng)
+        return csm_decide(means), t
 
     return _sequential(channel, grids, decide)
 
@@ -225,11 +262,8 @@ def virtual_single_irs(channel: Channel, grids, total_samples: int, params: Radi
     grids = as_grids(grids, L)
     if any(g.num_levels != grids[0].num_levels for g in grids):
         raise ValueError("virtual single-surface baseline needs equal grids")
-    groups = _GroupSums(L * n, grids[0].num_levels)
-    for start in range(0, total_samples, _CHUNK):
-        idx = generate_samples(L * n, grids[0], min(_CHUNK, total_samples - start), rng)
-        draws = np.split(idx, L, axis=1)
-        groups.add(idx, received_power(effective_batch(channel, grids, draws), params,
-                                       noise_draws, rng))
-    decisions = np.split(csm_decide(groups.means()), L)
+    means = _csm_means(L * n, grids[0], total_samples,
+                       lambda idx: effective_batch(channel, grids, np.split(idx, L, axis=1)),
+                       params, noise_draws, rng)
+    decisions = np.split(csm_decide(means), L)
     return BeamformingResult(PhaseAssignment(grids, tuple(decisions)), total_samples)

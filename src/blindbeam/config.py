@@ -152,15 +152,12 @@ def parse_t_rule(text: str):
             if value < 1:
                 raise ValueError
             return lambda n: value
-        if kind == "linear":
+        if kind in ("linear", "theory"):
             coeff = float(arg)
-            if coeff <= 0:
+            if not math.isfinite(coeff) or coeff <= 0:
                 raise ValueError
-            return lambda n: max(1, math.ceil(coeff * n))
-        if kind == "theory":
-            coeff = float(arg)
-            if coeff <= 0:
-                raise ValueError
+            if kind == "linear":
+                return lambda n: max(1, math.ceil(coeff * n))
             return lambda n: max(1, math.ceil(coeff * n * n * math.log(n) ** 3))
     except ValueError:
         pass

@@ -17,9 +17,10 @@ from blindbeam import (
     csm_decide,
     dims,
     effective_channel,
+    generate_samples,
     received_power,
 )
-from blindbeam.beamforming import _GroupSums, _sequential
+from blindbeam.beamforming import _CHUNK, _GroupSums, _sequential
 
 # Keep exhaustive enumeration honest but bounded.
 MAX_EXACT_CONFIGS = 10**6
@@ -143,6 +144,17 @@ def exact_csm_small(channel, grids) -> BeamformingResult:
         return csm_decide(groups.means()), total
 
     return _sequential(channel, grids, decide)
+
+
+def unblocked_csm_means(width, grid, total, evaluate, params, noise_draws, rng) -> np.ndarray:
+    """Conditional means with no compute blocks: every chunk of _CHUNK probes
+    is drawn as one (rows, width) int64 array, evaluated, measured and binned
+    whole.  The reference for the blocked _csm_means."""
+    groups = _GroupSums(width, grid.num_levels)
+    for start in range(0, total, _CHUNK):
+        idx = generate_samples(width, grid, min(_CHUNK, total - start), rng)
+        groups.add(idx, received_power(evaluate(idx), params, noise_draws, rng))
+    return groups.means()
 
 
 def exhaustive_search(channel, grids):

@@ -683,17 +683,20 @@ class TestCli:
          "budget_per_surface must be positive, got 0"),
         (["compare", "--budget-per-surface", "0", "--methods", "zero,virtual"],
          "budget_per_surface must be positive, got 0"),
+        (["compare", "--t-rule", "linear:nan"], "bad sample-count rule 'linear:nan'"),
+        (["scaling", "--t-rule", "theory:inf"], "bad sample-count rule 'theory:inf'"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
             "lemma-margin-1.5", "scaling-margin-neg", "scaling-t-rule-below-k",
             "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k", "scaling-surfaces-0",
             "lemma-surfaces-0", "lemma-elements-0", "conditions-elements-0",
-            "compare-budget-0-random", "compare-budget-0-virtual"])
-    def test_out_of_range_values_exit_two_without_traceback(self, argv, message):
-        proc = run_module(*argv, "--trials", "1")
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(f"config error: {message}")
-        assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+            "compare-budget-0-random", "compare-budget-0-virtual", "compare-t-rule-nan",
+            "scaling-t-rule-inf"])
+    def test_out_of_range_values_exit_two_without_traceback(self, argv, message, capsys):
+        assert main([*argv, "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("line, message", [
         ("angles = fixed_deg:abc", "angles 'fixed_deg:abc' needs a finite number"),
@@ -709,7 +712,8 @@ class TestCli:
     ], ids=["angle-not-a-number", "adjacency-missing", "adjacency-ragged", "adjacency-entry-2",
             "spacing-negative", "random-placement-wavelength-zero", "surface-on-transmitter",
             "noise-power-nan", "adjacency-node-count"])
-    def test_bad_scenario_file_exits_two_without_traceback(self, tmp_path, line, message):
+    def test_bad_scenario_file_exits_two_without_traceback(self, tmp_path, line, message,
+                                                             capsys):
         ragged = tmp_path / "ragged.txt"
         ragged.write_text("0 1\n1\n")
         two = tmp_path / "two.txt"
@@ -719,12 +723,12 @@ class TestCli:
                             + line.format(missing=tmp_path / "missing.txt", ragged=ragged,
                                           two=two, ten=PACKAGED_ADJACENCY)
                             + "\n")
-        proc = run_module("compare", "--scenario", str(scenario), "--methods", "zero",
-                          "--trials", "1")
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("config error: ") and message in proc.stderr
-        assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        assert main(["compare", "--scenario", str(scenario), "--methods", "zero",
+                     "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, text, key", [
         (["scaling", "--config"], "n_seep = 4,8,16\n", "n_seep"),
@@ -736,13 +740,27 @@ class TestCli:
          "surfaces = 1\nelements = 4\nsurface1 = 10,0\nsurface2 = 20,0\n", "surface2"),
     ], ids=["config-misspelt", "config-other-subcommand", "config-output-flag",
             "scenario-misspelt", "scenario-extra-surface"])
-    def test_unknown_file_key_exits_two_without_traceback(self, tmp_path, argv, text, key):
+    def test_unknown_file_key_exits_two_without_traceback(self, tmp_path, argv, text, key,
+                                                          capsys):
         path = tmp_path / "f.cfg"
         path.write_text(text)
-        proc = run_module(*argv, str(path), "--trials", "1")
-        assert proc.returncode == 2
-        assert proc.stderr == f"config error: {path}: unknown key {key!r}\n"
-        assert "Traceback" not in proc.stderr
+        assert main([*argv, str(path), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: unknown key {key!r}\n"
+
+    @pytest.mark.parametrize("argv, code, prefix, lines", [
+        (["examples", "--n-sweep", "9,19"], 0, "", 0),
+        (["examples", "--n-sweep", "9,19", "--growth-rel-tol", "1e-9"], 1, "FAIL: ", 4),
+        (["scaling", "--t-rule", "linear:nan"], 2, "config error: ", 1),
+    ], ids=["success", "runner-failure", "config-error"])
+    def test_exit_codes_from_a_fresh_interpreter(self, argv, code, prefix, lines):
+        # the cases above call cli.main in-process; one run per exit code
+        # checks that `python -m blindbeam` exits with main's return value and
+        # that stderr holds only main's own lines, never a traceback
+        proc = run_module(*argv, "--trials", "1")
+        assert proc.returncode == code, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == lines
+        assert all(line.startswith(prefix) for line in err)
 
     def test_t_rule_below_levels_is_fine_without_csm(self, tmp_path):
         out = tmp_path / "z.csv"

@@ -1,6 +1,8 @@
 """Property tests for the array kernels against per-entry reference oracles:
-tensor expansion, the dense contraction, CSM grouping, the phase lookup table
-and the leakage sums."""
+tensor expansion, the dense contraction, CSM grouping, the phase lookup table,
+the leakage sums and the blocked probe loop."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +15,21 @@ from blindbeam import (
     LinkChannelGraph,
     PhaseAssignment,
     PhaseGrid,
+    RadioParams,
     as_grids,
+    csm_decide,
     expand_links_to_tensor,
+    generate_samples,
+    sequential_csm,
     stage_coefficients,
+    virtual_single_irs,
 )
+from blindbeam import beamforming
 from blindbeam.channel import effective_batch
 from blindbeam.beamforming import _GroupSums
 from blindbeam.conditions import _leakage_sums, leakage_abs_sum
-from conftest import IndexSetSpec, brute_force_gain, expand_links_oracle
+from conftest import (UNIT_POWER, IndexSetSpec, brute_force_gain, expand_links_oracle,
+                      random_graph, random_tensor, unblocked_csm_means)
 
 kernel_settings = settings(deadline=None, max_examples=60)
 seeds = st.integers(0, 2**32 - 1)
@@ -180,3 +189,72 @@ def test_leakage_abs_sum_rejects_out_of_range_indices():
     for surface, element in ((2, 1), (-1, 1), (0, 0), (0, 3)):
         with pytest.raises(ValueError):
             leakage_abs_sum(t, surface, element)
+
+
+@pytest.mark.parametrize("k", [3, 4, 8, 300])
+def test_row_split_draw_matches_one_draw(k):
+    grid = PhaseGrid(k)
+    whole_rng, split_rng = np.random.default_rng(k), np.random.default_rng(k)
+    whole = generate_samples(5, grid, 1000, whole_rng)
+    parts = [generate_samples(5, grid, rows, split_rng) for rows in (1, 7, 333, 2, 657)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert split_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+NOISY = RadioParams(transmit_power_w=1.0, noise_power_w=0.5)
+# more than one chunk, with a last chunk that is not a whole number of blocks
+PROBES = beamforming._CHUNK + 4321
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["block-default", "block-1000"])
+@pytest.mark.parametrize("noise_draws", [0, 2])
+@pytest.mark.parametrize("k", [4, 300])
+@pytest.mark.parametrize("kind", ["stage", "virtual"])
+def test_blocked_csm_means_match_unblocked_oracle(kind, k, noise_draws, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(beamforming, "_BLOCK", block)
+    rng = np.random.default_rng(7)
+    grid, width = PhaseGrid(k), 6
+    if kind == "stage":
+        c0, c, lut = complex(*rng.standard_normal(2)), _complex(rng, width), grid.factor_table()
+        evaluate = lambda idx: c0 + lut[idx] @ c  # noqa: E731
+    else:
+        graph, grids = random_graph(rng, 2, width // 2), as_grids(grid, 2)
+        evaluate = lambda idx: effective_batch(graph, grids, np.split(idx, 2, axis=1))  # noqa: E731
+    rows = beamforming._BLOCK // width
+    assert beamforming._CHUNK % rows and PROBES % rows
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = beamforming._csm_means(width, grid, PROBES, evaluate, NOISY, noise_draws, got_rng)
+    want = unblocked_csm_means(width, grid, PROBES, evaluate, NOISY, noise_draws, want_rng)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(csm_decide(got), csm_decide(want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("noise_draws", [0, 1])
+@pytest.mark.parametrize("make_channel", [random_tensor, random_graph])
+@pytest.mark.parametrize("optimizer", [sequential_csm, virtual_single_irs])
+def test_blocked_optimizers_decide_as_unblocked_oracle(optimizer, make_channel, noise_draws,
+                                                       monkeypatch):
+    channel = make_channel(np.random.default_rng(3), 2, 8)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = optimizer(channel, 4, PROBES, NOISY, noise_draws, got_rng)
+    monkeypatch.setattr(beamforming, "_csm_means", unblocked_csm_means)
+    want = optimizer(channel, 4, PROBES, NOISY, noise_draws, want_rng)
+    assert got.evaluations == want.evaluations
+    for a, b in zip(got.assignment.indices, want.assignment.indices, strict=True):
+        assert np.array_equal(a, b)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sequential_csm_traced_peak_is_bounded():
+    # one whole-chunk stage at N=1024, T=20,480 built four (T, N) temporaries,
+    # a 480 MiB traced peak; compute blocks bound them by _BLOCK entries
+    channel = random_tensor(np.random.default_rng(0), 2, 1024)
+    tracemalloc.start()
+    try:
+        sequential_csm(channel, 4, 20_480, UNIT_POWER, 0, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
