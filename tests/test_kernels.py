@@ -217,10 +217,10 @@ def test_blocked_csm_means_match_unblocked_oracle(kind, k, noise_draws, block, m
     grid, width = PhaseGrid(k), 6
     if kind == "stage":
         c0, c, lut = complex(*rng.standard_normal(2)), _complex(rng, width), grid.factor_table()
-        evaluate = lambda idx: c0 + lut[idx] @ c  # noqa: E731
+        evaluate = lambda idx: c0 + lut[idx] @ c
     else:
         graph, grids = random_graph(rng, 2, width // 2), as_grids(grid, 2)
-        evaluate = lambda idx: effective_batch(graph, grids, np.split(idx, 2, axis=1))  # noqa: E731
+        evaluate = lambda idx: effective_batch(graph, grids, np.split(idx, 2, axis=1))
     rows = beamforming._BLOCK // width
     assert beamforming._CHUNK % rows and PROBES % rows
     got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
