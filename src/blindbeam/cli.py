@@ -1,5 +1,8 @@
 """Command line entry point.
 
+Each subcommand's flags, and the keys its `--config` file may hold, come from
+its option table (experiments.OPTIONS).
+
 Exit codes: 0 on success, 1 when a runner's built-in assertions fail (example
 decisions or growth out of tolerance, deviation bound violated), 2 on
 configuration errors, including a sample count too small to fill every
@@ -13,106 +16,58 @@ import sys
 
 from .beamforming import EmptyGroupError
 from .config import ConfigError, ExperimentConfig, check_known_keys
-from .experiments import RUNNERS, write_csv, write_json
+from .experiments import OPTIONS, RUNNERS, write_csv, write_json
+
+COMMAND_HELP = {
+    "scaling": "received-power growth versus surface size",
+    "compare": "benchmark methods on one scenario",
+    "conditions": "condition satisfaction versus link density",
+    "examples": "constructed channels with known optima",
+    "lemma-check": "decided-versus-ideal phase deviation bound",
+}
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed (default 0)")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="key = value config file; command line flags win")
-    p.add_argument("--out", default=None, metavar="CSV",
-                   help="write records as CSV (deterministic for a fixed seed)")
-    p.add_argument("--json", default=None, metavar="FILE", dest="json_out",
-                   help="also dump records and summaries as JSON")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for trial evaluation (default 1)")
-    p.add_argument("--timing", action="store_true",
-                   help="record real wall-clock seconds in the CSV; breaks "
-                        "byte-for-byte determinism")
+def _described(row) -> str:
+    return f"{row.help} (default {row.default})"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=tuple(OPTIONS)) -> argparse.ArgumentParser:
+    """The CLI parser, with flags for the subcommands in `commands`."""
     parser = argparse.ArgumentParser(
         prog="blindbeam",
         description="Blind multi-surface beamforming experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scaling", help="received-power growth versus surface size")
-    _add_common(p)
-    p.add_argument("--surfaces", "-L", type=int, default=None)
-    p.add_argument("--n-sweep", default=None, metavar="N1,N2,...",
-                   help="element counts to sweep (default 8,16,32,64,128)")
-    p.add_argument("--levels", "-K", default=None, metavar="K or K1,K2,...",
-                   help="phase levels, one value or one per surface")
-    p.add_argument("--methods", default=None, help="comma list from: csm,cpp")
-    p.add_argument("--t-rule", default=None, dest="t_rule", metavar="RULE",
-                   help="samples per surface: fixed:T, linear:c, or theory:c")
-    p.add_argument("--noise", default=None,
-                   help="noiseless, one_draw, or averaged:M (default noiseless)")
-    p.add_argument("--leakage-margin", type=float, default=None, dest="leakage_margin",
-                   help="fraction of the feasible leakage ceiling to use (default 0.5)")
-
-    p = sub.add_parser("compare", help="benchmark methods on one scenario")
-    _add_common(p)
-    p.add_argument("--scenario", default=None, metavar="FILE",
-                   help="scenario file (default: packaged two-surface corridor)")
-    p.add_argument("--elements", "-N", type=int, default=None)
-    p.add_argument("--methods", default=None,
-                   help="comma list from: zero,random,virtual,csm,cpp")
-    p.add_argument("--t-rule", default=None, dest="t_rule")
-    p.add_argument("--budget-per-surface", type=int, default=None, dest="budget_per_surface",
-                   help="sample budget per surface for random/virtual (default 1000)")
-    p.add_argument("--noise", default=None)
-
-    p = sub.add_parser("conditions", help="condition satisfaction versus link density")
-    _add_common(p)
-    p.add_argument("--surfaces", "-L", type=int, default=None)
-    p.add_argument("--elements", "-N", type=int, default=None)
-    p.add_argument("--eta-sweep", default=None, dest="eta_sweep", metavar="P1,P2,...",
-                   help="line-of-sight probabilities (default 0.2,0.4,0.6,0.8,1.0)")
-    p.add_argument("--levels", "-K", default=None)
-
-    p = sub.add_parser("examples", help="constructed channels with known optima")
-    _add_common(p)
-    p.add_argument("--n-sweep", default=None, metavar="N1,N2,...",
-                   help="odd element counts (default 9,19)")
-    p.add_argument("--beta", type=float, default=None, help="channel gain scale")
-    p.add_argument("--growth-rel-tol", type=float, default=None, dest="growth_rel_tol")
-
-    p = sub.add_parser("lemma-check", help="decided-versus-ideal phase deviation bound")
-    _add_common(p)
-    p.add_argument("--surfaces", "-L", type=int, default=None)
-    p.add_argument("--elements", "-N", type=int, default=None)
-    p.add_argument("--levels", "-K", default=None)
-    p.add_argument("--leakage-margin", type=float, default=None, dest="leakage_margin")
-
+    for command in commands:
+        rows = OPTIONS[command]
+        file_only = "; ".join(f"{row.key}, {_described(row)}" for row in rows if not row.flags)
+        epilog = f"config-file keys without a flag: {file_only}" if file_only else None
+        p = sub.add_parser(command, help=COMMAND_HELP[command], epilog=epilog)
+        for row in rows:
+            if row.flags:
+                p.add_argument(*row.flags, dest=row.key, help=_described(row))
+        p.add_argument("--config", metavar="FILE",
+                       help="key = value config file; command line flags win")
+        p.add_argument("--out", metavar="CSV",
+                       help="write records as CSV (deterministic for a fixed seed)")
+        p.add_argument("--json", metavar="FILE", dest="json_out",
+                       help="also dump records and summaries as JSON")
+        p.add_argument("--timing", action="store_true",
+                       help="record real wall-clock seconds in the CSV; breaks "
+                            "byte-for-byte determinism")
     return parser
 
 
-_SKIP_DESTS = {"command", "config", "out", "json_out", "timing"}
-
-# config-file keys a runner reads that have no flag
-_FILE_ONLY_KEYS = {"scaling": {"power_dbm", "noise_dbm"}}
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for dest, value in vars(args).items():
-        if dest in _SKIP_DESTS or value is None:
-            continue
-        out[dest] = value
-    return out
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # parsing a subcommand's arguments needs only that subcommand's flags
+    args = build_parser(argv[:1] if argv[:1] and argv[0] in OPTIONS else OPTIONS).parse_args(argv)
+    rows = OPTIONS[args.command]
     try:
-        config = ExperimentConfig.merge(args.config, _overrides(args))
-        # overrides are flag destinations, so only a file key can be unknown
-        check_known_keys(config.values, (set(vars(args)) - _SKIP_DESTS)
-                         | _FILE_ONLY_KEYS.get(args.command, set()), args.config)
+        config = ExperimentConfig.merge(
+            args.config, {row.key: getattr(args, row.key) for row in rows if row.flags})
+        # flags are rows, so only a file key can be unknown
+        check_known_keys(config.values, {row.key for row in rows}, args.config)
         result = RUNNERS[args.command](config)
     except (ConfigError, EmptyGroupError) as e:
         print(f"config error: {e}", file=sys.stderr)

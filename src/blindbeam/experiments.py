@@ -31,20 +31,36 @@ from .channel import (
     RadioParams,
     effective_channel,
     expand_links_to_tensor,
-    parse_noise_model,
     received_power,
     snr_boost,
 )
 from .conditions import check_c_conditions, check_cprime, check_d_conditions, lemma1_verify
-from .config import ConfigError, ExperimentConfig, _grids_for, parse_t_rule
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    Option,
+    _grids_for,
+    count,
+    float_list,
+    fraction,
+    int_list,
+    noise_model,
+    nonnegative,
+    positive_float,
+    positive_fraction,
+    sample_rule,
+    string,
+    thread_count,
+)
 from .fixtures import build_example, check_d_grids, d_instance_a_max, make_d_instance
 from .phases import as_grids
 from .scenario import (
+    DEFAULT_NOISE_DBM,
+    DEFAULT_TX_POWER_DBM,
     AngleTable,
     Geometry,
     PropagationMap,
     Scenario,
-    _eta,
     _radio_params,
     build_link_graph,
     default_scenario_path,
@@ -176,8 +192,6 @@ def write_json(path, config: ExperimentConfig, result: ExperimentResult):
 
 def _map_ordered(fn, keys, threads: int) -> list:
     """Run fn over keys, possibly in parallel, preserving key order."""
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     if threads == 1 or len(keys) <= 1:
         return [fn(k) for k in keys]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -195,20 +209,22 @@ def _d_instance_grids(levels, num_surfaces: int):
     return grids
 
 
-def _noise_draws(config: ExperimentConfig) -> int:
-    try:
-        return parse_noise_model(config.get_str("noise", "noiseless"))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+# the most samples per surface a rule may ask for: far above the budgets in
+# use (theory:1 asks for 1.9e6 at N=128), and bounded so that every run ends
+_MAX_SAMPLES = 10**9
 
 
-def _samples_per_surface(t_rule, rule_text: str, n: int, grids) -> int:
-    """T = t_rule(n), which must reach every surface's K: with fewer probes
-    than phase levels some (element, phase index) group stays empty."""
+def _samples_per_surface(t_rule, n: int, grids) -> int:
+    """T = t_rule(n), at most _MAX_SAMPLES, which must reach every surface's
+    K: with fewer probes than phase levels some (element, phase index) group
+    stays empty."""
     t = t_rule(n)
+    if t > _MAX_SAMPLES:
+        raise ConfigError(f"t_rule {t_rule.text} gives T={t:.3g} samples per surface at N={n}, "
+                          f"above the cap of {_MAX_SAMPLES:.0e}")
     k = max(g.num_levels for g in grids)
     if t < k:
-        raise ConfigError(f"t_rule {rule_text} gives T={t} samples per surface at N={n}, "
+        raise ConfigError(f"t_rule {t_rule.text} gives T={t} samples per surface at N={n}, "
                           f"fewer than K={k} phase levels")
     return t
 
@@ -268,28 +284,20 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     (half the tightest per-N maximum), so the sweep varies only the surface
     size and the fitted slope reflects the pure N-scaling.
     """
-    seed = config.get_int("seed", 0)
-    trials = config.get_count("trials", 10)
-    threads = config.get_int("threads", 1)
-    L = config.get_count("surfaces", 2)
-    n_list = config.get_int_list("n_sweep", "8,16,32,64,128")
-    levels = config.get_int_list("levels", "4")
-    methods = config.get_str("methods", "csm,cpp").replace(",", " ").split()
-    rule_text = config.get_str("t_rule", "linear:20")
-    t_rule = parse_t_rule(rule_text)
-    noise_draws = _noise_draws(config)
-    margin = config.get_float("leakage_margin", 0.5)
-    if not (0.0 <= margin <= 1.0):
-        raise ConfigError(f"leakage_margin must lie in [0, 1], got {margin}")
+    o = config.options(OPTIONS["scaling"])
+    seed, trials, threads, L = o.seed, o.trials, o.threads, o.surfaces
+    n_list, levels = o.n_sweep, o.levels
+    methods = o.methods.replace(",", " ").split()
+    t_rule, noise_draws, margin = o.t_rule, o.noise, o.leakage_margin
     params = _radio_params(config)
-    if not n_list or min(n_list) < 1:
+    if min(n_list) < 1:
         raise ConfigError("n_sweep must be nonempty with positive entries")
     grids = _d_instance_grids(levels, L)
     known = {"csm", "cpp"}
     bad = set(methods) - known
     if bad:
         raise ConfigError(f"unknown scaling methods {sorted(bad)}; pick from {sorted(known)}")
-    t_csm = ({n: _samples_per_surface(t_rule, rule_text, n, grids) for n in n_list}
+    t_csm = ({n: _samples_per_surface(t_rule, n, grids) for n in n_list}
              if "csm" in methods else {})
 
     def one_trial(trial: int) -> list:
@@ -365,23 +373,19 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     (L*1000 samples total), sequential CSM (T per surface), and the
     perfect-knowledge projection oracle.
     """
-    seed = config.get_int("seed", 0)
-    trials = config.get_count("trials", 20)
-    threads = config.get_int("threads", 1)
-    scenario_path = config.get_str("scenario", str(default_scenario_path()))
-    scenario = load_scenario(scenario_path)
-    n = config.get_count("elements", scenario.num_elements)
-    methods = config.get_str("methods", ",".join(COMPARE_METHODS)).replace(",", " ").split()
+    o = config.options(OPTIONS["compare"])
+    seed, trials, threads = o.seed, o.trials, o.threads
+    scenario = load_scenario(o.scenario or default_scenario_path())
+    n = o.elements or scenario.num_elements
+    methods = o.methods.replace(",", " ").split()
     bad = set(methods) - set(COMPARE_METHODS)
     if bad:
         raise ConfigError(f"unknown compare methods {sorted(bad)}; pick from {list(COMPARE_METHODS)}")
-    rule_text = config.get_str("t_rule", "fixed:1000")
-    t_rule = parse_t_rule(rule_text)
-    noise_draws = _noise_draws(config)
+    t_rule, noise_draws = o.t_rule, o.noise
     if "random" in methods or "virtual" in methods:
-        budget = scenario.num_surfaces * config.get_count("budget_per_surface", 1000)
+        budget = scenario.num_surfaces * o.budget_per_surface
     if "csm" in methods:
-        t_csm = _samples_per_surface(t_rule, rule_text, n, scenario.grids)
+        t_csm = _samples_per_surface(t_rule, n, scenario.grids)
 
     def one_trial(trial: int) -> list:
         graph, grids, params = realize_scenario(scenario, seed, trial, n)
@@ -439,17 +443,12 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     idealization no finite grid meets, so it is granted here and reported in
     the notes instead of zeroing the whole curve.
     """
-    seed = config.get_int("seed", 0)
-    trials = config.get_count("trials", 200)
-    threads = config.get_int("threads", 1)
-    L = config.get_int("surfaces", 2)
-    n = config.get_count("elements", 100)
-    etas = [_eta(eta) for eta in config.get_float_list("eta_sweep", "0.2,0.4,0.6,0.8,1.0")]
-    levels = config.get_int_list("levels", str(2 * L))
+    o = config.options(OPTIONS["conditions"])
+    seed, trials, threads, L, n = o.seed, o.trials, o.threads, o.surfaces, o.elements
+    etas = [fraction("eta", eta) for eta in o.eta_sweep]
+    levels = o.levels or [2 * L]
     if L < 2:
         raise ConfigError("the conditions study needs at least two surfaces")
-    if not etas:
-        raise ConfigError("eta_sweep must be nonempty")
     grids = _grids_for(levels, L)
     set_grids = {"C": as_grids(levels[0], 2), "Cprime": as_grids(levels[0], 2), "D": grids}
     staircases = {(ell, eta_idx): Scenario(ell, n, set_grids["D" if ell == L else "C"], None,
@@ -508,10 +507,8 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
     received-power growth between consecutive N must match the variant's
     order (quadratic for "bad", quartic for "good") within the tolerance.
     """
-    seed = config.get_int("seed", 0)
-    n_list = config.get_int_list("n_sweep", "9,19")
-    beta = config.get_float("beta", 1.0)
-    rel_tol = config.get_float("growth_rel_tol", 0.2)
+    o = config.options(OPTIONS["examples"])
+    seed, n_list, beta, rel_tol = o.seed, o.n_sweep, o.beta, o.growth_rel_tol
     params = RadioParams(transmit_power_w=1.0)
     if any(n % 2 == 0 or n < 3 for n in n_list):
         raise ConfigError("example element counts must be odd and at least 3")
@@ -566,16 +563,10 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
 def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     """Draw condition-satisfying instances and verify the deviation bound
     between decided and ideal phases, surface by surface."""
-    seed = config.get_int("seed", 0)
-    trials = config.get_count("trials", 100)
-    threads = config.get_int("threads", 1)
-    L = config.get_count("surfaces", 2)
-    n = config.get_count("elements", 6)
-    levels = config.get_int_list("levels", "4")
-    margin = config.get_float("leakage_margin", 0.5)
-    if not (0.0 < margin <= 1.0):
-        raise ConfigError(f"leakage_margin must lie in (0, 1], got {margin}")
-    grids = _d_instance_grids(levels, L)
+    o = config.options(OPTIONS["lemma-check"])
+    seed, trials, threads, L, n = o.seed, o.trials, o.threads, o.surfaces, o.elements
+    margin = o.leakage_margin
+    grids = _d_instance_grids(o.levels, L)
 
     def one_trial(trial: int) -> tuple:
         inst = make_d_instance(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL),
@@ -608,4 +599,57 @@ RUNNERS = {
     "conditions": run_conditions_probability,
     "examples": run_examples,
     "lemma-check": run_lemma_check,
+}
+
+
+# ---------------------------------------------------------------------------
+# option tables: every setting of every subcommand, each declared once; rows
+# that several subcommands read are shared, each subcommand setting its own
+# default with `at`
+
+SEED = Option("seed", ("--seed",), nonnegative, "0", "master RNG seed")
+TRIALS = Option("trials", ("--trials",), count, None, "independent channel draws")
+THREADS = Option("threads", ("--threads",), thread_count, "1",
+                 "worker threads for trial evaluation")
+SURFACES = Option("surfaces", ("--surfaces", "-L"), count, "2", "reflecting surfaces L")
+ELEMENTS = Option("elements", ("--elements", "-N"), count, None, "elements per surface N")
+LEVELS = Option("levels", ("--levels", "-K"), int_list, "4",
+                "phase levels, one value or one per surface")
+N_SWEEP = Option("n_sweep", ("--n-sweep",), int_list, None, "element counts to sweep")
+METHODS = Option("methods", ("--methods",), string, None, "comma list of methods")
+T_RULE = Option("t_rule", ("--t-rule",), sample_rule, None,
+                "samples per surface: fixed:T, linear:c, or theory:c")
+NOISE = Option("noise", ("--noise",), noise_model, "noiseless",
+               "noiseless, one_draw, or averaged:M")
+LEAKAGE_MARGIN = Option("leakage_margin", ("--leakage-margin",), fraction, "0.5",
+                        "fraction of the feasible leakage ceiling to use")
+
+OPTIONS = {
+    "scaling": (
+        SEED, TRIALS.at("10"), THREADS, SURFACES, N_SWEEP.at("8,16,32,64,128"), LEVELS,
+        METHODS.at("csm,cpp"), T_RULE.at("linear:20"), NOISE, LEAKAGE_MARGIN,
+        # file only; _radio_params reads them, as it does for scenario files
+        Option("power_dbm", (), string, f"{DEFAULT_TX_POWER_DBM:g}", "transmit power in dBm"),
+        Option("noise_dbm", (), string, f"{DEFAULT_NOISE_DBM:g}", "noise power in dBm")),
+    "compare": (
+        SEED, TRIALS.at("20"), THREADS,
+        Option("scenario", ("--scenario",), string, "the packaged two-surface corridor",
+               "scenario file", derived=True),
+        ELEMENTS.at("the scenario's N", derived=True), METHODS.at(",".join(COMPARE_METHODS)),
+        T_RULE.at("fixed:1000"),
+        Option("budget_per_surface", ("--budget-per-surface",), count, "1000",
+               "sample budget per surface for random and virtual"),
+        NOISE),
+    "conditions": (
+        SEED, TRIALS.at("200"), THREADS, SURFACES, ELEMENTS.at("100"),
+        Option("eta_sweep", ("--eta-sweep",), float_list, "0.2,0.4,0.6,0.8,1.0",
+               "line-of-sight probabilities"),
+        LEVELS.at("2L", derived=True)),
+    "examples": (
+        SEED, N_SWEEP.at("9,19"),
+        Option("beta", ("--beta",), positive_float, "1", "channel gain scale"),
+        Option("growth_rel_tol", ("--growth-rel-tol",), positive_float, "0.2",
+               "relative tolerance of each growth check")),
+    "lemma-check": (SEED, TRIALS.at("100"), THREADS, SURFACES, ELEMENTS.at("6"), LEVELS,
+                    LEAKAGE_MARGIN._replace(parse=positive_fraction)),
 }

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import LinkChannelGraph, RadioParams
-from .config import ConfigError, ExperimentConfig, _grids_for, check_known_keys, parse_config_file
+from .config import (ConfigError, ExperimentConfig, _grids_for, check_known_keys, fraction,
+                     parse_config_file)
 
 DEFAULT_SPACING_M = 0.03
 DEFAULT_WAVELENGTH_M = 0.06
@@ -385,17 +386,6 @@ def _radio_params(config: ExperimentConfig) -> RadioParams:
         raise ConfigError(str(e)) from e
 
 
-def _eta(value) -> float:
-    """A line-of-sight probability, which must lie in [0, 1]."""
-    try:
-        eta = float(value)
-    except ValueError as e:
-        raise ConfigError(f"eta must be a number, got {value!r}") from e
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
-    return eta
-
-
 _SCENARIO_KEYS = {"surfaces", "elements", "levels", "tx", "rx", "angles", "propagation",
                   "placement", "zero_nlos", "power_dbm", "noise_dbm", "spacing", "wavelength"}
 # chain_only and all_los are the extremes of the eta model
@@ -442,7 +432,7 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"unknown angles mode {angles!r}")
     prop = cfg.get_str("propagation", "chain_only")
     if prop.startswith("eta:"):
-        propagation = _eta(prop.split(":", 1)[1])
+        propagation = fraction("eta", prop.split(":", 1)[1])
     elif prop.startswith("adjacency:"):
         try:
             propagation = load_adjacency(prop.split(":", 1)[1])

@@ -221,14 +221,14 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("trials = 5\nseed = 1\n")
         merged = ExperimentConfig.merge(path, {"trials": 9, "skipped": None})
-        assert merged.get_int("trials") == 9
-        assert merged.get_int("seed") == 1
-        assert not merged.has("skipped")
+        assert merged.get_count("trials") == 9
+        assert merged.get_count("seed") == 1
+        assert "skipped" not in merged.values
 
     def test_typed_accessors(self):
         c = ExperimentConfig({"n": "7", "x": "1.5", "flag": "yes", "ns": "1, 2 3",
                               "pt": "3,4"})
-        assert c.get_int("n") == 7
+        assert c.get_count("n") == 7
         assert c.get_float("x") == 1.5
         assert c.get_bool("flag") is True
         assert c.get_bool("other", "off") is False
@@ -238,7 +238,7 @@ class TestConfig:
     def test_accessor_errors(self):
         c = ExperimentConfig({"n": "seven", "pt": "1,2,3", "flag": "maybe"})
         with pytest.raises(ConfigError, match="integer"):
-            c.get_int("n")
+            c.get_count("n")
         with pytest.raises(ConfigError, match="'x,y'"):
             c.get_pair("pt")
         with pytest.raises(ConfigError, match="boolean"):
@@ -644,31 +644,16 @@ class TestCli:
             "cpp", "csm", "zero"]
         capsys.readouterr()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_threads_below_one_exits_two(self, threads, capsys):
-        rc = main(["lemma-check", "--trials", "2", "--threads", threads])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == f"config error: threads must be at least 1, got {threads}\n"
-
     @pytest.mark.parametrize("argv, message", [
-        (["scaling", "--levels", "4,4,4", "--surfaces", "2"], "need 1 or 2 level counts"),
-        (["lemma-check", "--levels", "1"], "a phase grid needs at least 2 levels"),
-    ])
-    def test_bad_level_counts_exits_two(self, argv, message, capsys):
-        rc = main(argv)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message}")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv, message", [
-        (["compare", "--noise", "averaged:0"], "averaged noise model needs an integer draw"),
+        (["compare", "--noise", "averaged:0"],
+         "averaged noise model needs an integer draw count >= 1, got 'averaged:0'"),
         (["conditions", "--eta-sweep", "1.5"], "eta must lie in [0, 1], got 1.5"),
-        (["lemma-check", "--levels", "2"], "grids [2, 2] violate the resolution"),
-        (["scaling", "--levels", "2"], "grids [2, 2] violate the resolution"),
-        (["lemma-check", "--leakage-margin", "1.5"], "leakage_margin must lie in (0, 1]"),
-        (["scaling", "--leakage-margin", "-1"], "leakage_margin must lie in [0, 1]"),
+        (["lemma-check", "--levels", "2"], "grids [2, 2] violate the resolution requirements "
+         "(last grid >= 3 levels and the leading grids' 1/K budget under 1/2)"),
+        (["scaling", "--levels", "2"], "grids [2, 2] violate the resolution requirements "
+         "(last grid >= 3 levels and the leading grids' 1/K budget under 1/2)"),
+        (["lemma-check", "--leakage-margin", "1.5"], "leakage_margin must lie in (0, 1], got 1.5"),
+        (["scaling", "--leakage-margin", "-1"], "leakage_margin must lie in [0, 1], got -1.0"),
         (["scaling", "--t-rule", "theory:1", "--n-sweep", "1,2,3", "--methods", "csm"],
          "t_rule theory:1 gives T=1 samples per surface at N=1, fewer than K=4 phase levels"),
         (["scaling", "--t-rule", "fixed:5", "-K", "4,6", "--n-sweep", "4,6,8"],
@@ -683,19 +668,45 @@ class TestCli:
          "budget_per_surface must be positive, got 0"),
         (["compare", "--budget-per-surface", "0", "--methods", "zero,virtual"],
          "budget_per_surface must be positive, got 0"),
-        (["compare", "--t-rule", "linear:nan"], "bad sample-count rule 'linear:nan'"),
-        (["scaling", "--t-rule", "theory:inf"], "bad sample-count rule 'theory:inf'"),
+        (["compare", "--t-rule", "linear:nan"],
+         "bad sample-count rule 'linear:nan'; use fixed:<T>, linear:<c>, or theory:<c>"),
+        (["scaling", "--t-rule", "theory:inf"],
+         "bad sample-count rule 'theory:inf'; use fixed:<T>, linear:<c>, or theory:<c>"),
+        (["lemma-check", "--threads", "0"], "threads must be at least 1, got 0"),
+        (["lemma-check", "--threads", "-1"], "threads must be at least 1, got -1"),
+        (["scaling", "--levels", "4,4,4", "--surfaces", "2"],
+         "need 1 or 2 level counts, got 3: [4, 4, 4]"),
+        (["lemma-check", "--levels", "1"], "a phase grid needs at least 2 levels, got 1"),
+        (["compare", "--t-rule", "linear:1e308"],
+         "t_rule linear:1e308 gives T=inf samples per surface at N=100, above the cap of 1e+09"),
+        (["scaling", "--t-rule", "linear:1e12", "--n-sweep", "4,8,16"],
+         "t_rule linear:1e12 gives T=4e+12 samples per surface at N=4, above the cap of 1e+09"),
+        (["compare", "--t-rule", "fixed:100000000000000000000", "--methods", "csm", "-N", "4"],
+         "t_rule fixed:100000000000000000000 gives T=1e+20 samples per surface at N=4, "
+         "above the cap of 1e+09"),
+        (["scaling", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["lemma-check", "--seed", "-2"], "seed must be non-negative, got -2"),
+        (["conditions", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["examples", "--beta", "0"], "beta must be positive, got 0.0"),
+        (["examples", "--beta", "nan"], "config key 'beta' must be a finite number, got 'nan'"),
+        (["examples", "--beta", "inf"], "config key 'beta' must be a finite number, got 'inf'"),
+        (["examples", "--growth-rel-tol", "-1"], "growth_rel_tol must be positive, got -1.0"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
             "lemma-margin-1.5", "scaling-margin-neg", "scaling-t-rule-below-k",
             "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k", "scaling-surfaces-0",
             "lemma-surfaces-0", "lemma-elements-0", "conditions-elements-0",
             "compare-budget-0-random", "compare-budget-0-virtual", "compare-t-rule-nan",
-            "scaling-t-rule-inf"])
+            "scaling-t-rule-inf", "lemma-threads-0", "lemma-threads-neg",
+            "scaling-level-count", "lemma-levels-1", "compare-t-rule-overflow",
+            "scaling-t-rule-above-cap", "compare-fixed-above-cap", "scaling-seed-neg",
+            "lemma-seed-neg", "conditions-seed-neg", "examples-beta-0", "examples-beta-nan",
+            "examples-beta-inf", "examples-growth-tol-neg"])
     def test_out_of_range_values_exit_two_without_traceback(self, argv, message, capsys):
-        assert main([*argv, "--trials", "1"]) == 2
+        # one trial keeps each run short; examples has no trials to set
+        trials = [] if argv[0] == "examples" else ["--trials", "1"]
+        assert main([*argv, *trials]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message}")
-        assert err.count("\n") == 1
+        assert err == f"config error: {message}\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("line, message", [
@@ -731,32 +742,34 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, text, key", [
-        (["scaling", "--config"], "n_seep = 4,8,16\n", "n_seep"),
-        (["compare", "--methods", "zero", "--config"], "n_sweep = 4,8\n", "n_sweep"),
-        (["examples", "--config"], "trials = 1\nout = x.csv\n", "out"),
-        (["compare", "--methods", "zero", "--scenario"],
+        (["scaling", "--trials", "1", "--config"], "n_seep = 4,8,16\n", "n_seep"),
+        (["compare", "--trials", "1", "--methods", "zero", "--config"], "n_sweep = 4,8\n",
+         "n_sweep"),
+        (["examples", "--config"], "n_sweep = 9,19\nout = x.csv\n", "out"),
+        (["compare", "--trials", "1", "--methods", "zero", "--scenario"],
          "surfaces = 1\nelements = 4\nsurface1 = 10,0\npropagaton = all_los\n", "propagaton"),
-        (["compare", "--methods", "zero", "--scenario"],
+        (["compare", "--trials", "1", "--methods", "zero", "--scenario"],
          "surfaces = 1\nelements = 4\nsurface1 = 10,0\nsurface2 = 20,0\n", "surface2"),
+        (["examples", "--config"], "trials = 1\n", "trials"),
     ], ids=["config-misspelt", "config-other-subcommand", "config-output-flag",
-            "scenario-misspelt", "scenario-extra-surface"])
+            "scenario-misspelt", "scenario-extra-surface", "config-key-of-other-runners"])
     def test_unknown_file_key_exits_two_without_traceback(self, tmp_path, argv, text, key,
                                                           capsys):
         path = tmp_path / "f.cfg"
         path.write_text(text)
-        assert main([*argv, str(path), "--trials", "1"]) == 2
+        assert main([*argv, str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {path}: unknown key {key!r}\n"
 
     @pytest.mark.parametrize("argv, code, prefix, lines", [
         (["examples", "--n-sweep", "9,19"], 0, "", 0),
         (["examples", "--n-sweep", "9,19", "--growth-rel-tol", "1e-9"], 1, "FAIL: ", 4),
-        (["scaling", "--t-rule", "linear:nan"], 2, "config error: ", 1),
+        (["scaling", "--t-rule", "linear:nan", "--trials", "1"], 2, "config error: ", 1),
     ], ids=["success", "runner-failure", "config-error"])
     def test_exit_codes_from_a_fresh_interpreter(self, argv, code, prefix, lines):
         # the cases above call cli.main in-process; one run per exit code
         # checks that `python -m blindbeam` exits with main's return value and
         # that stderr holds only main's own lines, never a traceback
-        proc = run_module(*argv, "--trials", "1")
+        proc = run_module(*argv)
         assert proc.returncode == code, proc.stderr
         err = proc.stderr.splitlines()
         assert len(err) == lines
