@@ -31,7 +31,6 @@ from .channel import (
     dims,
     effective_channel,
     expand_links_to_tensor,
-    parse_noise_model,
     received_power,
     snr_boost,
     stage_coefficients,
@@ -51,7 +50,8 @@ from .conditions import (
     recover_full_path_factors,
     theta_hat_star_all,
 )
-from .config import ConfigError, ExperimentConfig, parse_config_file, parse_t_rule
+from .config import (ConfigError, ExperimentConfig, parse_config_file, parse_noise_model,
+                     parse_t_rule)
 from .experiments import (
     CSV_HEADER,
     ExperimentResult,

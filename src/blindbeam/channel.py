@@ -46,28 +46,6 @@ class RadioParams:
             raise ValueError("noise power must be nonnegative")
 
 
-def parse_noise_model(text: str) -> int:
-    """Noise draws per measurement from "noiseless" (0), "one_draw" (1) or
-    "averaged:<M>" (M >= 1)."""
-    t = text.strip().lower()
-    if t == "noiseless":
-        return 0
-    if t == "one_draw":
-        return 1
-    if t.startswith("averaged:"):
-        try:
-            draws = int(t.split(":", 1)[1])
-        except ValueError:
-            draws = 0
-        if draws < 1:
-            raise ValueError(f"averaged noise model needs an integer draw count >= 1, "
-                             f"got {text!r}")
-        return draws
-    if t == "averaged":
-        raise ValueError("averaged noise model needs a draw count, e.g. averaged:100")
-    raise ValueError(f"unknown noise model {text!r}")
-
-
 @dataclass(frozen=True)
 class CascadedChannelTensor:
     """Aggregate path coefficients over [0:N]^L.

@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Each subcommand's flags, and the keys its `--config` file may hold, come from
-its option table (experiments.OPTIONS).
+its option table (experiments.OPTIONS); the runner types and range-checks
+every value through that table's rows.
 
 Exit codes: 0 on success, 1 when a runner's built-in assertions fail (example
 decisions or growth out of tolerance, deviation bound violated), 2 on

@@ -4,8 +4,10 @@ Files hold one `key = value` pair per line; `#` starts a comment and blank
 lines are skipped.  Command-line flags override file values, which override
 defaults.  Each subcommand declares its settings once, as a table of Option
 rows; the CLI flags, the keys a config file may hold, the `--help` defaults
-and the runner's typed values all come from that table.  All validation
-errors raise ConfigError (the CLI maps these to exit code 2).
+and the runner's typed values all come from that table.  Scenario files have
+a table of their own.  A row's parser is the only way its text becomes a
+typed, range-checked value.  All validation errors raise ConfigError (the
+CLI maps these to exit code 2).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .channel import parse_noise_model
 from .phases import as_grids
 
 
@@ -55,14 +56,16 @@ def check_known_keys(values: dict, known, path):
 
 
 # ---------------------------------------------------------------------------
-# parsers: each maps (key, text) to a value or raises ConfigError
+# parsers: each maps (text, key) to a value or raises ConfigError; `key` names
+# the value in messages.  A rule about one value lives in its parser; a rule
+# relating two values stays with the code that reads both.
 
 
-def _number(kind, holds=lambda v: True, bound: str = ""):
+def number(kind, holds=lambda v: True, bound: str = ""):
     """A parser of one int or float, as `kind` says, for which holds(value)."""
     noun = "an integer" if kind is int else "a finite number"
 
-    def parse(key: str, text: str):
+    def parse(text: str, key: str):
         try:
             value = kind(text)
         except ValueError:
@@ -75,47 +78,87 @@ def _number(kind, holds=lambda v: True, bound: str = ""):
     return parse
 
 
-count = _number(int, lambda v: v >= 1, "be positive")
-nonnegative = _number(int, lambda v: v >= 0, "be non-negative")
-thread_count = _number(int, lambda v: v >= 1, "be at least 1")
-positive_float = _number(float, lambda v: v > 0, "be positive")
-fraction = _number(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
-positive_fraction = _number(float, lambda v: 0 < v <= 1, "lie in (0, 1]")
+finite = number(float)
+count = number(int, lambda v: v >= 1, "be positive")
+nonnegative = number(int, lambda v: v >= 0, "be non-negative")
+thread_count = number(int, lambda v: v >= 1, "be at least 1")
+positive_float = number(float, lambda v: v > 0, "be positive")
+fraction = number(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
+positive_fraction = number(float, lambda v: 0 < v <= 1, "lie in (0, 1]")
 
 
-def _list(item):
-    """A parser of a nonempty, comma or space separated list of `item`s."""
-    def parse(key: str, text: str) -> list:
-        return [item(key, tok) for tok in string(key, text.replace(",", " ")).split()]
+def list_of(item, item_key: str | None = None, distinct: bool = False):
+    """A parser of a nonempty, comma or space separated list of `item`s, each
+    parsed under `item_key` (default: the list's key) and, if `distinct`,
+    listed once."""
+    def parse(text: str, key: str) -> list:
+        values = [item(tok, item_key or key)
+                  for tok in string(text.replace(",", " "), key).split()]
+        for i, value in enumerate(values):
+            if distinct and value in values[:i]:
+                raise ConfigError(f"{key} lists {value!r} twice")
+        return values
     return parse
 
 
-int_list = _list(_number(int))
-float_list = _list(_number(float))
+int_list = list_of(number(int))
 
 
-def sample_rule(key: str, text: str) -> "SampleRule":
-    return parse_t_rule(text)
+def one_of(names, noun: str):
+    """A parser of one of `names`, which a message calls `noun`."""
+    def parse(text: str, key: str) -> str:
+        if text not in names:
+            raise ConfigError(f"unknown {noun} {text!r}; pick from {list(names)}")
+        return text
+    return parse
 
 
-def noise_model(key: str, text: str) -> int:
-    try:
-        return parse_noise_model(text)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+def pair(text: str, key: str) -> tuple[float, float]:
+    values = list_of(finite)(text, key)
+    if len(values) != 2:
+        raise ConfigError(f"config key {key!r} must be 'x,y', got {text!r}")
+    return values[0], values[1]
 
 
-def string(key: str, text: str) -> str:
+def boolean(text: str, key: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"config key {key!r} must be a boolean, got {value!r}")
+
+
+def string(text: str, key: str) -> str:
     if not text.strip():
         raise ConfigError(f"config key {key!r} must not be empty")
     return text
 
 
+def parse_noise_model(text: str, key: str = "noise") -> int:
+    """Noise draws per measurement from "noiseless" (0), "one_draw" (1) or
+    "averaged:<M>" (M >= 1).  `key` is unused; it makes this a row parser."""
+    t = text.strip().lower()
+    if t == "noiseless":
+        return 0
+    if t == "one_draw":
+        return 1
+    if t.startswith("averaged:"):
+        try:
+            return count(t.split(":", 1)[1], key)
+        except ConfigError:
+            raise ConfigError(f"averaged noise model needs an integer draw count >= 1, "
+                              f"got {text!r}") from None
+    if t == "averaged":
+        raise ConfigError("averaged noise model needs a draw count, e.g. averaged:100")
+    raise ConfigError(f"unknown noise model {text!r}")
+
+
 class Option(NamedTuple):
-    """One setting of a subcommand: its config key, command-line flags (none
-    for a file-only key), parser, default text and help.  A derived default
-    is the runner's to compute: its text only describes it, and an absent
-    key then reads as None."""
+    """One setting: its config key, command-line flags (none for a file-only
+    key), parser, default text and help.  A row with no default is required.
+    A derived default is the runner's to compute: its text only describes
+    it, and an absent key then reads as None."""
 
     key: str
     flags: tuple
@@ -130,8 +173,8 @@ class Option(NamedTuple):
 
 
 class Options:
-    """A runner's typed view of its config: attribute `key` parses that row's
-    value, or its default, when read."""
+    """A typed view of a config: attribute `key` parses that row's value, or
+    its default, when read."""
 
     def __init__(self, values: dict, rows):
         self._values = values
@@ -140,16 +183,21 @@ class Options:
     def __getattr__(self, key: str):
         row = self._rows[key]
         text = self._values.get(key, None if row.derived else row.default)
-        return None if text is None else row.parse(key, text)
+        if text is not None:
+            return row.parse(text, key)
+        if row.derived:
+            return None
+        raise ConfigError(f"missing required config key {key!r}")
 
 
 @dataclass
 class ExperimentConfig:
     """Merged configuration: `values` maps string keys to string values.
 
-    Runners read it through their option table (`options`); the scenario
-    loader uses the typed accessors.  The CLI and scenario loader reject
-    unknown keys with check_known_keys.
+    Every reader types its values through a table of Option rows
+    (`options`): the runners through experiments.OPTIONS, the scenario
+    loader through scenario.SCENARIO_OPTIONS.  The CLI and scenario loader
+    reject unknown keys with check_known_keys.
     """
 
     values: dict = field(default_factory=dict)
@@ -167,50 +215,20 @@ class ExperimentConfig:
     def options(self, rows) -> Options:
         return Options(self.values, rows)
 
-    def get_str(self, key: str, default=None) -> str:
-        v = self.values.get(key, default)
-        if v is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return str(v)
 
-    def get_count(self, key: str, default=None) -> int:
-        return count(key, self.get_str(key, default))
-
-    def get_float(self, key: str, default=None) -> float:
-        v = self.get_str(key, default)
-        try:
-            return float(v)
-        except ValueError as e:
-            raise ConfigError(f"config key {key!r} must be a number, got {v!r}") from e
-
-    def get_bool(self, key: str, default=None) -> bool:
-        v = self.get_str(key, default).lower()
-        if v in ("1", "true", "yes", "on"):
-            return True
-        if v in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key!r} must be a boolean, got {v!r}")
-
-    def get_int_list(self, key: str, default=None) -> list[int]:
-        return int_list(key, self.get_str(key, default))
-
-    def get_pair(self, key: str, default=None) -> tuple[float, float]:
-        vals = float_list(key, self.get_str(key, default))
-        if len(vals) != 2:
-            raise ConfigError(f"config key {key!r} must be 'x,y', got {self.values.get(key)!r}")
-        return vals[0], vals[1]
-
-
-def _grids_for(levels, num_surfaces: int):
+def _grids_for(levels, num_surfaces: int, check=None):
     """Phase grids from one level count shared by every surface, or one per
-    surface."""
+    surface, that pass check(grids) when a check is given."""
     if len(levels) not in (1, num_surfaces):
         raise ConfigError(
             f"need 1 or {num_surfaces} level counts, got {len(levels)}: {levels}")
     try:
-        return as_grids(levels if len(levels) > 1 else levels[0], num_surfaces)
+        grids = as_grids(levels if len(levels) > 1 else levels[0], num_surfaces)
+        if check:
+            check(grids)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    return grids
 
 
 class SampleRule(NamedTuple):
@@ -228,9 +246,10 @@ class SampleRule(NamedTuple):
         return max(1, math.ceil(t)) if math.isfinite(t) else t
 
 
-def parse_t_rule(text: str) -> SampleRule:
+def parse_t_rule(text: str, key: str = "t_rule") -> SampleRule:
     """Sample-count rules: "fixed:T", "linear:c" (T = c*N), or
-    "theory:c" (T = c * N^2 * (ln N)^3)."""
+    "theory:c" (T = c * N^2 * (ln N)^3).  `key` is unused; it makes this a
+    row parser."""
     kind, _, arg = text.strip().lower().partition(":")
     try:
         value = int(arg) if kind == "fixed" else float(arg)

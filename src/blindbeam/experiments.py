@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +41,24 @@ from .config import (
     Option,
     _grids_for,
     count,
-    float_list,
     fraction,
     int_list,
-    noise_model,
+    list_of,
     nonnegative,
+    number,
+    one_of,
+    parse_noise_model,
+    parse_t_rule,
     positive_float,
     positive_fraction,
-    sample_rule,
     string,
     thread_count,
 )
 from .fixtures import build_example, check_d_grids, d_instance_a_max, make_d_instance
 from .phases import as_grids
 from .scenario import (
-    DEFAULT_NOISE_DBM,
-    DEFAULT_TX_POWER_DBM,
+    NOISE_DBM,
+    POWER_DBM,
     AngleTable,
     Geometry,
     PropagationMap,
@@ -85,6 +87,8 @@ def derive_rng(seed: int, *tags: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One CSV row, its fields in CSV_HEADER's column order."""
+
     experiment: str
     seed: int
     trial: int
@@ -98,35 +102,13 @@ class RunRecord:
     wall_s: float = 0.0
 
     def to_csv_row(self, timing: bool = False) -> str:
-        wall = f"{self.wall_s:.3f}" if timing else "0"
-        return ",".join([
-            self.experiment,
-            str(self.seed),
-            str(self.trial),
-            self.method,
-            str(self.num_surfaces),
-            str(self.num_elements),
-            self.levels,
-            str(self.samples),
-            self.metric_kind,
-            f"{self.metric_value:.12g}",
-            wall,
-        ])
+        *fields, value, wall_s = astuple(self)
+        wall = f"{wall_s:.3f}" if timing else "0"
+        return ",".join([*map(str, fields), f"{value:.12g}", wall])
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "trial": self.trial,
-            "method": self.method,
-            "L": self.num_surfaces,
-            "N": self.num_elements,
-            "K": self.levels,
-            "T": self.samples,
-            "metric_kind": self.metric_kind,
-            "metric_value": self.metric_value,
-            "wall_s": self.wall_s,
-        }
+        """The fields under their CSV column names."""
+        return dict(zip(CSV_HEADER.split(","), astuple(self)))
 
 
 @dataclass
@@ -196,17 +178,6 @@ def _map_ordered(fn, keys, threads: int) -> list:
         return [fn(k) for k in keys]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, keys))
-
-
-def _d_instance_grids(levels, num_surfaces: int):
-    """_grids_for, also held to the resolution requirements of
-    make_d_instance."""
-    grids = _grids_for(levels, num_surfaces)
-    try:
-        check_d_grids(grids)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    return grids
 
 
 # the most samples per surface a rule may ask for: far above the budgets in
@@ -286,17 +257,10 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     """
     o = config.options(OPTIONS["scaling"])
     seed, trials, threads, L = o.seed, o.trials, o.threads, o.surfaces
-    n_list, levels = o.n_sweep, o.levels
-    methods = o.methods.replace(",", " ").split()
+    n_list, levels, methods = o.n_sweep, o.levels, o.methods
     t_rule, noise_draws, margin = o.t_rule, o.noise, o.leakage_margin
-    params = _radio_params(config)
-    if min(n_list) < 1:
-        raise ConfigError("n_sweep must be nonempty with positive entries")
-    grids = _d_instance_grids(levels, L)
-    known = {"csm", "cpp"}
-    bad = set(methods) - known
-    if bad:
-        raise ConfigError(f"unknown scaling methods {sorted(bad)}; pick from {sorted(known)}")
+    params = _radio_params(o)
+    grids = _grids_for(levels, L, check_d_grids)
     t_csm = ({n: _samples_per_surface(t_rule, n, grids) for n in n_list}
              if "csm" in methods else {})
 
@@ -377,13 +341,12 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     seed, trials, threads = o.seed, o.trials, o.threads
     scenario = load_scenario(o.scenario or default_scenario_path())
     n = o.elements or scenario.num_elements
-    methods = o.methods.replace(",", " ").split()
-    bad = set(methods) - set(COMPARE_METHODS)
-    if bad:
-        raise ConfigError(f"unknown compare methods {sorted(bad)}; pick from {list(COMPARE_METHODS)}")
-    t_rule, noise_draws = o.t_rule, o.noise
+    methods, t_rule, noise_draws = o.methods, o.t_rule, o.noise
     if "random" in methods or "virtual" in methods:
         budget = scenario.num_surfaces * o.budget_per_surface
+    if "virtual" in methods and len({g.num_levels for g in scenario.grids}) > 1:
+        raise ConfigError(f"method virtual needs one level count on every surface, got "
+                          f"{_levels_label(scenario.grids)}")
     if "csm" in methods:
         t_csm = _samples_per_surface(t_rule, n, scenario.grids)
 
@@ -445,10 +408,8 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     """
     o = config.options(OPTIONS["conditions"])
     seed, trials, threads, L, n = o.seed, o.trials, o.threads, o.surfaces, o.elements
-    etas = [fraction("eta", eta) for eta in o.eta_sweep]
+    etas = o.eta_sweep
     levels = o.levels or [2 * L]
-    if L < 2:
-        raise ConfigError("the conditions study needs at least two surfaces")
     grids = _grids_for(levels, L)
     set_grids = {"C": as_grids(levels[0], 2), "Cprime": as_grids(levels[0], 2), "D": grids}
     staircases = {(ell, eta_idx): Scenario(ell, n, set_grids["D" if ell == L else "C"], None,
@@ -510,10 +471,6 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
     o = config.options(OPTIONS["examples"])
     seed, n_list, beta, rel_tol = o.seed, o.n_sweep, o.beta, o.growth_rel_tol
     params = RadioParams(transmit_power_w=1.0)
-    if any(n % 2 == 0 or n < 3 for n in n_list):
-        raise ConfigError("example element counts must be odd and at least 3")
-    if len(n_list) < 2:
-        raise ConfigError("need at least two N values to measure growth")
     records = []
     report = []
     failures = []
@@ -566,7 +523,7 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     o = config.options(OPTIONS["lemma-check"])
     seed, trials, threads, L, n = o.seed, o.trials, o.threads, o.surfaces, o.elements
     margin = o.leakage_margin
-    grids = _d_instance_grids(o.levels, L)
+    grids = _grids_for(o.levels, L, check_d_grids)
 
     def one_trial(trial: int) -> tuple:
         inst = make_d_instance(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL),
@@ -615,38 +572,60 @@ SURFACES = Option("surfaces", ("--surfaces", "-L"), count, "2", "reflecting surf
 ELEMENTS = Option("elements", ("--elements", "-N"), count, None, "elements per surface N")
 LEVELS = Option("levels", ("--levels", "-K"), int_list, "4",
                 "phase levels, one value or one per surface")
-N_SWEEP = Option("n_sweep", ("--n-sweep",), int_list, None, "element counts to sweep")
-METHODS = Option("methods", ("--methods",), string, None, "comma list of methods")
-T_RULE = Option("t_rule", ("--t-rule",), sample_rule, None,
+N_SWEEP = Option("n_sweep", ("--n-sweep",), list_of(count, distinct=True), None,
+                 "element counts to sweep")
+T_RULE = Option("t_rule", ("--t-rule",), parse_t_rule, None,
                 "samples per surface: fixed:T, linear:c, or theory:c")
-NOISE = Option("noise", ("--noise",), noise_model, "noiseless",
+NOISE = Option("noise", ("--noise",), parse_noise_model, "noiseless",
                "noiseless, one_draw, or averaged:M")
 LEAKAGE_MARGIN = Option("leakage_margin", ("--leakage-margin",), fraction, "0.5",
                         "fraction of the feasible leakage ceiling to use")
 
+
+def _example_sizes(text: str, key: str) -> list:
+    """At least two odd element counts >= 3, increasing: each growth check
+    compares one N with the next larger one."""
+    odd = number(int, lambda v: v >= 3 and v % 2 == 1, "be odd and at least 3")
+    sizes = list_of(odd)(text, key)
+    if len(sizes) < 2:
+        raise ConfigError(f"{key} needs at least two N values to measure growth, got {text!r}")
+    for before, after in zip(sizes, sizes[1:]):
+        if after <= before:
+            raise ConfigError(f"{key} must increase, got {after} after {before}")
+    return sizes
+
+
 OPTIONS = {
     "scaling": (
         SEED, TRIALS.at("10"), THREADS, SURFACES, N_SWEEP.at("8,16,32,64,128"), LEVELS,
-        METHODS.at("csm,cpp"), T_RULE.at("linear:20"), NOISE, LEAKAGE_MARGIN,
+        Option("methods", ("--methods",),
+               list_of(one_of(("cpp", "csm"), "scaling methods"), distinct=True), "csm,cpp",
+               "comma list of methods"),
+        T_RULE.at("linear:20"), NOISE, LEAKAGE_MARGIN,
         # file only; _radio_params reads them, as it does for scenario files
-        Option("power_dbm", (), string, f"{DEFAULT_TX_POWER_DBM:g}", "transmit power in dBm"),
-        Option("noise_dbm", (), string, f"{DEFAULT_NOISE_DBM:g}", "noise power in dBm")),
+        POWER_DBM, NOISE_DBM),
     "compare": (
         SEED, TRIALS.at("20"), THREADS,
         Option("scenario", ("--scenario",), string, "the packaged two-surface corridor",
                "scenario file", derived=True),
-        ELEMENTS.at("the scenario's N", derived=True), METHODS.at(",".join(COMPARE_METHODS)),
+        ELEMENTS.at("the scenario's N", derived=True),
+        Option("methods", ("--methods",),
+               list_of(one_of(COMPARE_METHODS, "compare methods"), distinct=True),
+               ",".join(COMPARE_METHODS), "comma list of methods"),
         T_RULE.at("fixed:1000"),
         Option("budget_per_surface", ("--budget-per-surface",), count, "1000",
                "sample budget per surface for random and virtual"),
         NOISE),
     "conditions": (
-        SEED, TRIALS.at("200"), THREADS, SURFACES, ELEMENTS.at("100"),
-        Option("eta_sweep", ("--eta-sweep",), float_list, "0.2,0.4,0.6,0.8,1.0",
-               "line-of-sight probabilities"),
+        SEED, TRIALS.at("200"), THREADS,
+        SURFACES._replace(parse=number(int, lambda v: v >= 2,
+                                       "be at least 2, as C and C' need two surfaces")),
+        ELEMENTS.at("100"),
+        Option("eta_sweep", ("--eta-sweep",), list_of(fraction, "eta", distinct=True),
+               "0.2,0.4,0.6,0.8,1.0", "line-of-sight probabilities"),
         LEVELS.at("2L", derived=True)),
     "examples": (
-        SEED, N_SWEEP.at("9,19"),
+        SEED, N_SWEEP._replace(parse=_example_sizes, default="9,19"),
         Option("beta", ("--beta",), positive_float, "1", "channel gain scale"),
         Option("growth_rel_tol", ("--growth-rel-tol",), positive_float, "0.2",
                "relative tolerance of each growth check")),

@@ -20,13 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .channel import LinkChannelGraph, RadioParams
-from .config import (ConfigError, ExperimentConfig, _grids_for, check_known_keys, fraction,
+from .config import (ConfigError, ExperimentConfig, Option, _grids_for, boolean,
+                     check_known_keys, count, finite, fraction, int_list, one_of, pair,
                      parse_config_file)
 
 DEFAULT_SPACING_M = 0.03
 DEFAULT_WAVELENGTH_M = 0.06
-DEFAULT_TX_POWER_DBM = 30.0
-DEFAULT_NOISE_DBM = -98.0
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -375,85 +374,104 @@ def default_scenario_path() -> Path:
     return packaged_scenario_path("double_irs")
 
 
-def _radio_params(config: ExperimentConfig) -> RadioParams:
-    """Transmit and noise power from the power_dbm and noise_dbm keys."""
+def _radio_params(o) -> RadioParams:
+    """Transmit and noise power from the power_dbm and noise_dbm rows of `o`."""
     try:
-        return RadioParams(
-            transmit_power_w=dbm_to_watts(config.get_float("power_dbm", DEFAULT_TX_POWER_DBM)),
-            noise_power_w=dbm_to_watts(config.get_float("noise_dbm", DEFAULT_NOISE_DBM)),
-        )
+        return RadioParams(transmit_power_w=dbm_to_watts(o.power_dbm),
+                           noise_power_w=dbm_to_watts(o.noise_dbm))
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    except OverflowError as e:
+        raise ConfigError(f"power_dbm {o.power_dbm:g} or noise_dbm {o.noise_dbm:g} is too "
+                          "large for a power in watts") from e
 
 
-_SCENARIO_KEYS = {"surfaces", "elements", "levels", "tx", "rx", "angles", "propagation",
-                  "placement", "zero_nlos", "power_dbm", "noise_dbm", "spacing", "wavelength"}
 # chain_only and all_los are the extremes of the eta model
-_NAMED_ETA = {"chain_only": 0.0, "all_los": 1.0}
+_NAMED_ETA = {"chain_only": "eta:0", "all_los": "eta:1"}
+
+
+def _fixed_angle(text: str, key: str) -> float | None:
+    """None for bearing angles, else the fixed angle in radians."""
+    if text == "bearing":
+        return None
+    if not text.startswith(("fixed_deg:", "fixed_rad:")):
+        raise ConfigError(f"unknown angles mode {text!r}")
+    try:
+        angle = finite(text.split(":", 1)[1], key)
+    except ConfigError:
+        raise ConfigError(f"angles {text!r} needs a finite number after the colon") from None
+    return math.radians(angle) if text.startswith("fixed_deg:") else angle
+
+
+def _propagation(text: str, key: str) -> float | PropagationMap:
+    """An eta, or the propagation map of an adjacency file."""
+    text = _NAMED_ETA.get(text, text)
+    if text.startswith("eta:"):
+        return fraction(text.split(":", 1)[1], "eta")
+    if text.startswith("adjacency:"):
+        try:
+            return load_adjacency(text.split(":", 1)[1])
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"propagation {text!r}: {e}") from e
+    raise ConfigError(f"unknown propagation mode {text!r}")
+
+
+# rows shared with the scaling subcommand's --config file
+POWER_DBM = Option("power_dbm", (), finite, "30", "transmit power in dBm")
+NOISE_DBM = Option("noise_dbm", (), finite, "-98", "noise power in dBm")
+
+# a scenario file's keys; load_scenario adds surface1..surfaceL for its L
+SCENARIO_OPTIONS = (
+    Option("surfaces", (), count, None, "reflecting surfaces L"),
+    Option("elements", (), count, None, "elements per surface N"),
+    Option("levels", (), int_list, "4", "phase levels, one value or one per surface"),
+    Option("placement", (), one_of(("explicit", "random_staircase"), "placement"), "explicit",
+           "explicit or random_staircase"),
+    Option("tx", (), pair, "0,0", "transmitter position x,y in meters"),
+    Option("rx", (), pair, "100,0", "receiver position x,y in meters"),
+    Option("angles", (), _fixed_angle, "bearing", "bearing, fixed_deg:X or fixed_rad:X"),
+    Option("propagation", (), _propagation, "chain_only",
+           "eta:P, chain_only, all_los or adjacency:FILE"),
+    Option("zero_nlos", (), boolean, "false", "non-line-of-sight links exactly zero"),
+    POWER_DBM,
+    NOISE_DBM,
+    Option("spacing", (), finite, f"{DEFAULT_SPACING_M:g}", "element spacing in meters"),
+    Option("wavelength", (), finite, f"{DEFAULT_WAVELENGTH_M:g}", "carrier wavelength in meters"),
+)
 
 
 def load_scenario(path) -> Scenario:
-    cfg = ExperimentConfig(parse_config_file(path))
-    L = cfg.get_count("surfaces")
-    n = cfg.get_count("elements")
-    check_known_keys(cfg.values, _SCENARIO_KEYS | {f"surface{ell}" for ell in range(1, L + 1)},
-                     path)
-    grids = _grids_for(cfg.get_int_list("levels", "4"), L)
-    spacing = cfg.get_float("spacing", DEFAULT_SPACING_M)
-    wavelength = cfg.get_float("wavelength", DEFAULT_WAVELENGTH_M)
+    config = ExperimentConfig(parse_config_file(path))
+    L = config.options(SCENARIO_OPTIONS).surfaces
+    rows = SCENARIO_OPTIONS + tuple(Option(f"surface{ell}", (), pair, None, "position x,y")
+                                    for ell in range(1, L + 1))
+    check_known_keys(config.values, {row.key for row in rows}, path)
+    o = config.options(rows)
+    grids = _grids_for(o.levels, L)
+    spacing, wavelength = o.spacing, o.wavelength
     if not (spacing > 0 and wavelength > 0):
         raise ConfigError(f"spacing and wavelength must be positive, got {spacing} and "
                           f"{wavelength}")
-    placement = cfg.get_str("placement", "explicit")
     geometry = None
-    if placement == "explicit":
-        pos = [cfg.get_pair("tx", "0,0")]
-        for ell in range(1, L + 1):
-            pos.append(cfg.get_pair(f"surface{ell}"))
-        pos.append(cfg.get_pair("rx", "100,0"))
+    if o.placement == "explicit":
+        pos = [o.tx, *(getattr(o, f"surface{ell}") for ell in range(1, L + 1)), o.rx]
         try:
             geometry = Geometry(np.asarray(pos, dtype=float), spacing, wavelength)
         except ValueError as e:
             raise ConfigError(f"scenario geometry: {e}") from e
-    elif placement != "random_staircase":
-        raise ConfigError(f"unknown placement {placement!r}")
-    angles = cfg.get_str("angles", "bearing")
-    fixed_angle = None
-    if angles.startswith(("fixed_deg:", "fixed_rad:")):
-        try:
-            fixed_angle = float(angles.split(":", 1)[1])
-        except ValueError:
-            fixed_angle = math.nan
-        if not math.isfinite(fixed_angle):
-            raise ConfigError(f"angles {angles!r} needs a finite number after the colon")
-        if angles.startswith("fixed_deg:"):
-            fixed_angle = math.radians(fixed_angle)
-    elif angles != "bearing":
-        raise ConfigError(f"unknown angles mode {angles!r}")
-    prop = cfg.get_str("propagation", "chain_only")
-    if prop.startswith("eta:"):
-        propagation = fraction("eta", prop.split(":", 1)[1])
-    elif prop.startswith("adjacency:"):
-        try:
-            propagation = load_adjacency(prop.split(":", 1)[1])
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"propagation {prop!r}: {e}") from e
-        if propagation.num_nodes != L + 2:
-            raise ConfigError(
-                f"adjacency has {propagation.num_nodes} nodes, scenario needs {L + 2}")
-    elif prop in _NAMED_ETA:
-        propagation = _NAMED_ETA[prop]
-    else:
-        raise ConfigError(f"unknown propagation mode {prop!r}")
+    propagation = o.propagation
+    if isinstance(propagation, PropagationMap) and propagation.num_nodes != L + 2:
+        raise ConfigError(
+            f"adjacency has {propagation.num_nodes} nodes, scenario needs {L + 2}")
     return Scenario(
         num_surfaces=L,
-        num_elements=n,
+        num_elements=o.elements,
         grids=grids,
         geometry=geometry,
         propagation=propagation,
-        fixed_angle_rad=fixed_angle,
-        zero_nlos=cfg.get_bool("zero_nlos", False),
-        params=_radio_params(cfg),
+        fixed_angle_rad=o.angles,
+        zero_nlos=o.zero_nlos,
+        params=_radio_params(o),
         spacing_m=spacing,
         wavelength_m=wavelength,
     )

@@ -13,7 +13,6 @@ from blindbeam import (
     direct_gain,
     effective_channel,
     expand_links_to_tensor,
-    parse_noise_model,
     received_power,
     snr_boost,
     stage_coefficients,
@@ -316,14 +315,6 @@ class TestReceivedPower:
         params = RadioParams(transmit_power_w=1.0)
         p = received_power(np.array([1.0, 2.0, 1j]), params)
         assert np.allclose(p, [1.0, 4.0, 1.0])
-
-    def test_parse_noise_model(self):
-        assert parse_noise_model("noiseless") == 0
-        assert parse_noise_model("one_draw") == parse_noise_model("averaged:1") == 1
-        assert parse_noise_model("averaged:32") == 32
-        for text in ("sometimes", "averaged", "averaged:0", "averaged:x"):
-            with pytest.raises(ValueError):
-                parse_noise_model(text)
 
 
 class TestSnrBoost:

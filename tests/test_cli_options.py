@@ -6,11 +6,13 @@ line surface shows up as a reviewed test diff.
 """
 
 import re
+from pathlib import Path
 
 import pytest
 
 from blindbeam.cli import main
 from blindbeam.experiments import OPTIONS
+from blindbeam.scenario import SCENARIO_OPTIONS
 
 # every subcommand's own flags: help, the config file and the outputs
 IO_FLAGS = ["--config", "--help", "--json", "--out", "--timing", "-h"]
@@ -38,6 +40,11 @@ FILE_KEYS = {
     "lemma-check": ["elements", "leakage_margin", "levels", "seed", "surfaces", "threads",
                     "trials"],
 }
+
+# a scenario file's keys besides surface1..surfaceL, one per surface (the
+# scenario-extra-surface case of test_experiments.py checks those)
+SCENARIO_KEYS = ["angles", "elements", "levels", "noise_dbm", "placement", "power_dbm",
+                 "propagation", "rx", "spacing", "surfaces", "tx", "wavelength", "zero_nlos"]
 
 
 def help_text(command: str, capsys) -> str:
@@ -79,3 +86,14 @@ def test_a_flag_exists_only_where_it_is_read(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_scenario_keys_are_pinned():
+    assert sorted(row.key for row in SCENARIO_OPTIONS) == SCENARIO_KEYS
+
+
+def test_readme_gives_every_scenario_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for row in SCENARIO_OPTIONS:
+        default = "required" if row.default is None else f"`{row.default}`"
+        assert f"| `{row.key}` | {default} |" in readme, row.key

@@ -27,6 +27,7 @@ from blindbeam import (
     load_scenario,
     packaged_scenario_path,
     parse_config_file,
+    parse_noise_model,
     parse_t_rule,
     place_random,
     realize_scenario,
@@ -41,7 +42,7 @@ from blindbeam import (
     write_json,
     zero_phase_baseline,
 )
-from blindbeam import experiments
+from blindbeam import config, experiments
 from blindbeam.cli import main
 from blindbeam.experiments import (RUNNERS, TAG_CHANNEL, TAG_PLACEMENT, TAG_PROPAGATION,
                                    sort_records)
@@ -221,30 +222,37 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("trials = 5\nseed = 1\n")
         merged = ExperimentConfig.merge(path, {"trials": 9, "skipped": None})
-        assert merged.get_count("trials") == 9
-        assert merged.get_count("seed") == 1
+        typed = merged.options(experiments.OPTIONS["scaling"])
+        assert typed.trials == 9
+        assert typed.seed == 1
         assert "skipped" not in merged.values
 
-    def test_typed_accessors(self):
-        c = ExperimentConfig({"n": "7", "x": "1.5", "flag": "yes", "ns": "1, 2 3",
-                              "pt": "3,4"})
-        assert c.get_count("n") == 7
-        assert c.get_float("x") == 1.5
-        assert c.get_bool("flag") is True
-        assert c.get_bool("other", "off") is False
-        assert c.get_int_list("ns") == [1, 2, 3]
-        assert c.get_pair("pt") == (3.0, 4.0)
+    def test_row_parsers(self):
+        assert config.count("7", "n") == 7
+        assert config.finite("1.5", "x") == 1.5
+        assert config.boolean("yes", "flag") is True
+        assert config.boolean("off", "other") is False
+        assert config.int_list("1, 2 3", "ns") == [1, 2, 3]
+        assert config.pair("3,4", "pt") == (3.0, 4.0)
 
-    def test_accessor_errors(self):
-        c = ExperimentConfig({"n": "seven", "pt": "1,2,3", "flag": "maybe"})
+    def test_row_parser_errors(self):
         with pytest.raises(ConfigError, match="integer"):
-            c.get_count("n")
+            config.count("seven", "n")
         with pytest.raises(ConfigError, match="'x,y'"):
-            c.get_pair("pt")
+            config.pair("1,2,3", "pt")
         with pytest.raises(ConfigError, match="boolean"):
-            c.get_bool("flag")
+            config.boolean("maybe", "flag")
+        required = config.Option("absent", (), config.string, None, "a required key")
         with pytest.raises(ConfigError, match="missing"):
-            c.get_str("absent")
+            ExperimentConfig({}).options([required]).absent
+
+    def test_parse_noise_model(self):
+        assert parse_noise_model("noiseless") == 0
+        assert parse_noise_model("one_draw") == parse_noise_model("averaged:1") == 1
+        assert parse_noise_model("averaged:32") == 32
+        for text in ("sometimes", "averaged", "averaged:0", "averaged:x"):
+            with pytest.raises(ConfigError):
+                parse_noise_model(text)
 
     def test_t_rules(self):
         assert parse_t_rule("fixed:100")(5) == 100
@@ -611,7 +619,33 @@ class TestCli:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("power_dbm = nan\n")
         assert main(["scaling", "--config", str(cfg_path), "--trials", "1"]) == 2
-        assert capsys.readouterr().err == "config error: transmit power must be positive\n"
+        assert capsys.readouterr().err == (
+            "config error: config key 'power_dbm' must be a finite number, got 'nan'\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("power_dbm = inf", "config key 'power_dbm' must be a finite number, got 'inf'"),
+        ("noise_dbm = inf", "config key 'noise_dbm' must be a finite number, got 'inf'"),
+        ("noise_dbm = nan", "config key 'noise_dbm' must be a finite number, got 'nan'"),
+        ("power_dbm = 1e308",
+         "power_dbm 1e+308 or noise_dbm -98 is too large for a power in watts"),
+        ("power_dbm = -1e308", "transmit power must be positive"),
+    ], ids=["power-inf", "noise-inf", "noise-nan", "power-overflow", "power-underflow"])
+    def test_bad_power_values_in_config_file_exit_two(self, tmp_path, line, message, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(line + "\n")
+        assert main(["scaling", "--config", str(cfg_path), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_virtual_needs_equal_grids(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("surfaces = 2\nelements = 4\nsurface1 = 10,0\nsurface2 = 20,5\n"
+                            "levels = 4,8\n")
+        argv = ["compare", "--scenario", str(scenario), "--trials", "1", "--t-rule", "fixed:40"]
+        assert main([*argv, "--methods", "zero,virtual"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: method virtual needs one level count on every surface, got 4|8\n")
+        assert main([*argv, "--methods", "zero,random,csm,cpp"]) == 0
+        capsys.readouterr()
 
     def test_lemma_check_quick_run(self, tmp_path, capsys):
         jout = tmp_path / "l.json"
@@ -691,6 +725,12 @@ class TestCli:
         (["examples", "--beta", "nan"], "config key 'beta' must be a finite number, got 'nan'"),
         (["examples", "--beta", "inf"], "config key 'beta' must be a finite number, got 'inf'"),
         (["examples", "--growth-rel-tol", "-1"], "growth_rel_tol must be positive, got -1.0"),
+        (["compare", "--methods", "csm,csm"], "methods lists 'csm' twice"),
+        (["scaling", "--n-sweep", "8,8,16,32"], "n_sweep lists 8 twice"),
+        (["scaling", "--n-sweep", "0,4,8"], "n_sweep must be positive, got 0"),
+        (["conditions", "--eta-sweep", "0.5,0.5"], "eta_sweep lists 0.5 twice"),
+        (["examples", "--n-sweep", "9,19,9"], "n_sweep must increase, got 9 after 19"),
+        (["examples", "--n-sweep", "9,9"], "n_sweep must increase, got 9 after 9"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
             "lemma-margin-1.5", "scaling-margin-neg", "scaling-t-rule-below-k",
             "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k", "scaling-surfaces-0",
@@ -700,7 +740,9 @@ class TestCli:
             "scaling-level-count", "lemma-levels-1", "compare-t-rule-overflow",
             "scaling-t-rule-above-cap", "compare-fixed-above-cap", "scaling-seed-neg",
             "lemma-seed-neg", "conditions-seed-neg", "examples-beta-0", "examples-beta-nan",
-            "examples-beta-inf", "examples-growth-tol-neg"])
+            "examples-beta-inf", "examples-growth-tol-neg", "compare-methods-repeat",
+            "scaling-n-sweep-repeat", "scaling-n-sweep-0", "conditions-eta-repeat",
+            "examples-n-sweep-order", "examples-n-sweep-repeat"])
     def test_out_of_range_values_exit_two_without_traceback(self, argv, message, capsys):
         # one trial keeps each run short; examples has no trials to set
         trials = [] if argv[0] == "examples" else ["--trials", "1"]
@@ -718,11 +760,17 @@ class TestCli:
         ("placement = random_staircase\nwavelength = 0",
          "spacing and wavelength must be positive"),
         ("tx = 10,0", "scenario geometry: all pairwise node distances must be positive"),
-        ("noise_dbm = nan", "noise power must be nonnegative"),
+        ("noise_dbm = nan", "config key 'noise_dbm' must be a finite number, got 'nan'"),
         ("propagation = adjacency:{ten}", "adjacency has 10 nodes, scenario needs 3"),
+        ("noise_dbm = inf", "config key 'noise_dbm' must be a finite number, got 'inf'"),
+        ("power_dbm = inf", "config key 'power_dbm' must be a finite number, got 'inf'"),
+        ("power_dbm = nan", "config key 'power_dbm' must be a finite number, got 'nan'"),
+        ("spacing = inf", "config key 'spacing' must be a finite number, got 'inf'"),
+        ("wavelength = inf", "config key 'wavelength' must be a finite number, got 'inf'"),
     ], ids=["angle-not-a-number", "adjacency-missing", "adjacency-ragged", "adjacency-entry-2",
             "spacing-negative", "random-placement-wavelength-zero", "surface-on-transmitter",
-            "noise-power-nan", "adjacency-node-count"])
+            "noise-power-nan", "adjacency-node-count", "noise-power-inf", "power-inf",
+            "power-nan", "spacing-inf", "wavelength-inf"])
     def test_bad_scenario_file_exits_two_without_traceback(self, tmp_path, line, message,
                                                              capsys):
         ragged = tmp_path / "ragged.txt"
