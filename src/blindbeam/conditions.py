@@ -48,20 +48,15 @@ class RankOneFactors:
     vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        vs = []
-        n = None
-        for v in self.vectors:
-            a = np.array(v, dtype=np.complex128, copy=True)
-            if a.ndim != 1 or a.size < 1:
-                raise ValueError("factor vectors must be nonempty 1-D arrays")
-            if n is None:
-                n = a.size
-            elif a.size != n:
-                raise ValueError("factor vectors must share a common length")
-            a.flags.writeable = False
-            vs.append(a)
+        vs = [np.array(v, dtype=np.complex128, copy=True) for v in self.vectors]
         if not vs:
             raise ValueError("need at least one factor vector")
+        for a in vs:
+            if a.ndim != 1 or a.size < 1:
+                raise ValueError("factor vectors must be nonempty 1-D arrays")
+            if a.size != vs[0].size:
+                raise ValueError("factor vectors must share a common length")
+            a.flags.writeable = False
         for v in vs[:-1]:
             lead = v[0]
             if abs(lead.imag) > 1e-9 * max(1.0, abs(lead)) or lead.real < -1e-12:
@@ -351,32 +346,49 @@ def margin_rhs(factors: RankOneFactors, grids, gammas: np.ndarray, ell: int) -> 
     return np.sin(gammas) * later * earlier
 
 
+def _lower_envelope(slopes: np.ndarray, offsets: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """min_m (slopes[m] * x - offsets[m]) at every x of xs in O((N + G) log N):
+    the lines' lower hull in decreasing slope, then one binary search per x."""
+    hull = []  # (slope, offset, x from which the line is lowest)
+    for a, b in sorted(zip(slopes.tolist(), offsets.tolist()), key=lambda l: (-l[0], -l[1])):
+        if hull and hull[-1][0] == a:
+            continue  # a parallel line that is not lower
+        while hull and (hull[-1][1] - b) / (hull[-1][0] - a) <= hull[-1][2]:
+            hull.pop()
+        hull.append((a, b, (hull[-1][1] - b) / (hull[-1][0] - a) if hull else -math.inf))
+    a, b, starts = (np.array(col) for col in zip(*hull))
+    line = np.searchsorted(starts, xs, side="right") - 1
+    return a[line] * xs - b[line]
+
+
 def _d3_scan(tensor: CascadedChannelTensor, factors: RankOneFactors, grids,
              gamma_points: int):
-    """Scan the margin angle range for the margin inequality (margin_rhs) on
-    every surface before the last.
+    """The margin inequality on every surface before the last, at each of
+    gamma_points grid angles.  Element m of surface ell holds it iff
+    g_ell(gamma) * |u_ell[m]| - leak_ell[m] >= -eps, with g_ell = margin_rhs,
+    so an angle is feasible iff g_ell >= tau_ell = max_m (leak_ell[m] - eps) /
+    |u_ell[m]| on every surface (+inf when a zero gain leaks above eps).
+    best_slack is the grid maximum of min_ell of the lower envelope of those
+    N lines in g_ell.  No (G, N) array: O((N + G) log N) per surface.
 
     Returns (feasible, gamma_min, gamma_upper, best_slack).
     """
     L = tensor.num_surfaces
     gamma_upper = (math.pi / (L - 1)) * margin_budget(grids)
     mags = np.abs(tensor.entries)
-    leak = np.array([_leakage_sums(mags, ell) for ell in range(L - 1)])
-    scale = max(1.0, float(mags.max()))
-    del mags  # free |h| before the (gamma, N) scan temporaries
+    leak = [_leakage_sums(mags, ell) for ell in range(L - 1)]
+    eps = _SLACK * max(1.0, float(mags.max()))
     if gamma_upper <= 0.0:
         return False, None, gamma_upper, -math.inf
     gammas = np.linspace(0.0, gamma_upper, gamma_points, endpoint=False)
-    slack = np.full(gammas.size, math.inf)
+    ok, slack = np.ones(gammas.size, dtype=bool), np.full(gammas.size, math.inf)
     for ell in range(L - 1):
-        rhs = (margin_rhs(factors, grids, gammas, ell)[:, None]
-               * np.abs(factors.vectors[ell])[None, :])
-        slack = np.minimum(slack, (rhs - leak[ell][None, :]).min(axis=1))
-    ok = slack >= -_SLACK * scale
-    if not np.any(ok):
-        return False, None, gamma_upper, float(slack.max())
-    first = int(np.argmax(ok))
-    return True, float(gammas[first]), gamma_upper, float(slack.max())
+        g, gain = margin_rhs(factors, grids, gammas, ell), np.abs(factors.vectors[ell])
+        with np.errstate(divide="ignore", invalid="ignore"):  # fmax skips a zero gain's nan
+            ok &= g >= np.fmax.reduce((leak[ell] - eps) / gain, initial=-math.inf)
+        slack = np.minimum(slack, _lower_envelope(gain, leak[ell], g))
+    first = float(gammas[np.argmax(ok)]) if ok.any() else None
+    return first is not None, first, gamma_upper, float(slack.max())
 
 
 def check_d_conditions(tensor: CascadedChannelTensor, grids,
@@ -389,7 +401,8 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids,
         with every entry nonzero (factors are recovered when not supplied).
     D2: the last grid has >= 3 levels and sum_{ell<L} 1/K_ell < 1/2.
     D3: some margin angle gamma in [0, gamma_upper) satisfies the leakage
-        inequality for every (surface < L, element).
+        inequality for every (surface < L, element), tested at gamma_points
+        angles by one gain threshold per surface (_d3_scan).
     """
     t = _require_tensor(tensor)
     L, n = dims(t)
@@ -415,10 +428,8 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids,
     d1 = factors is not None and residual <= tol and zero is None
     budget = margin_budget(grids)
     d2 = grids[-1].num_levels >= 3 and budget > 0.0
-    if factors is not None:
-        d3, gamma_min, gamma_upper, best_slack = _d3_scan(t, factors, grids, gamma_points)
-    else:
-        d3, gamma_min, gamma_upper, best_slack = False, None, None, -math.inf
+    d3, gamma_min, gamma_upper, best_slack = ((False, None, None, -math.inf) if factors is None
+                                              else _d3_scan(t, factors, grids, gamma_points))
     return ConditionReport(
         condition_set="D",
         subconditions={"d1": d1, "d2": d2, "d3": d3},

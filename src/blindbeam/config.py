@@ -87,16 +87,19 @@ fraction = number(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
 positive_fraction = number(float, lambda v: 0 < v <= 1, "lie in (0, 1]")
 
 
-def list_of(item, item_key: str | None = None, distinct: bool = False):
+def list_of(item, item_key: str | None = None, distinct: bool = False, label=None):
     """A parser of a nonempty, comma or space separated list of `item`s, each
     parsed under `item_key` (default: the list's key) and, if `distinct`,
-    listed once."""
+    listed once; given `label`, no two entries may share label(entry)."""
     def parse(text: str, key: str) -> list:
         values = [item(tok, item_key or key)
                   for tok in string(text.replace(",", " "), key).split()]
-        for i, value in enumerate(values):
-            if distinct and value in values[:i]:
-                raise ConfigError(f"{key} lists {value!r} twice")
+        tags = values if label is None else [label(value) for value in values]
+        for i, tag in enumerate(tags):
+            if distinct and tag in tags[:i]:
+                twin, value = values[tags.index(tag)], values[i]
+                raise ConfigError(f"{key} lists {value!r} twice" if twin == value else
+                                  f"{key} lists {twin!r} and {value!r}, which both print as {tag}")
         return values
     return parse
 

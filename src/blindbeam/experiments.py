@@ -621,7 +621,8 @@ OPTIONS = {
         SURFACES._replace(parse=number(int, lambda v: v >= 2,
                                        "be at least 2, as C and C' need two surfaces")),
         ELEMENTS.at("100"),
-        Option("eta_sweep", ("--eta-sweep",), list_of(fraction, "eta", distinct=True),
+        Option("eta_sweep", ("--eta-sweep",),
+               list_of(fraction, "eta", distinct=True, label="eta={:g}".format),
                "0.2,0.4,0.6,0.8,1.0", "line-of-sight probabilities"),
         LEVELS.at("2L", derived=True)),
     "examples": (

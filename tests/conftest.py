@@ -21,6 +21,7 @@ from blindbeam import (
     received_power,
 )
 from blindbeam.beamforming import _CHUNK, _GroupSums, _sequential
+from blindbeam.conditions import _SLACK, _leakage_sums, margin_budget, margin_rhs
 
 # Keep exhaustive enumeration honest but bounded.
 MAX_EXACT_CONFIGS = 10**6
@@ -155,6 +156,33 @@ def unblocked_csm_means(width, grid, total, evaluate, params, noise_draws, rng) 
         idx = generate_samples(width, grid, min(_CHUNK, total - start), rng)
         groups.add(idx, received_power(evaluate(idx), params, noise_draws, rng))
     return groups.means()
+
+
+def d3_scan_oracle(tensor: CascadedChannelTensor, factors, grids, gamma_points: int):
+    """The margin inequality checked element by element at every grid angle:
+    one (gamma_points, N) slack array per surface before the last.  The
+    reference for the per-surface thresholds of conditions._d3_scan.
+
+    Returns (feasible, gamma_min, gamma_upper, best_slack).
+    """
+    L = tensor.num_surfaces
+    gamma_upper = (math.pi / (L - 1)) * margin_budget(grids)
+    mags = np.abs(tensor.entries)
+    leak = np.array([_leakage_sums(mags, ell) for ell in range(L - 1)])
+    scale = max(1.0, float(mags.max()))
+    if gamma_upper <= 0.0:
+        return False, None, gamma_upper, -math.inf
+    gammas = np.linspace(0.0, gamma_upper, gamma_points, endpoint=False)
+    slack = np.full(gammas.size, math.inf)
+    for ell in range(L - 1):
+        rhs = (margin_rhs(factors, grids, gammas, ell)[:, None]
+               * np.abs(factors.vectors[ell])[None, :])
+        slack = np.minimum(slack, (rhs - leak[ell][None, :]).min(axis=1))
+    ok = slack >= -_SLACK * scale
+    if not np.any(ok):
+        return False, None, gamma_upper, float(slack.max())
+    first = int(np.argmax(ok))
+    return True, float(gammas[first]), gamma_upper, float(slack.max())
 
 
 def exhaustive_search(channel, grids):

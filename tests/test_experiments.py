@@ -729,6 +729,8 @@ class TestCli:
         (["scaling", "--n-sweep", "8,8,16,32"], "n_sweep lists 8 twice"),
         (["scaling", "--n-sweep", "0,4,8"], "n_sweep must be positive, got 0"),
         (["conditions", "--eta-sweep", "0.5,0.5"], "eta_sweep lists 0.5 twice"),
+        (["conditions", "--eta-sweep", "0.5,0.5000001", "-N", "4"],
+         "eta_sweep lists 0.5 and 0.5000001, which both print as eta=0.5"),
         (["examples", "--n-sweep", "9,19,9"], "n_sweep must increase, got 9 after 19"),
         (["examples", "--n-sweep", "9,9"], "n_sweep must increase, got 9 after 9"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
@@ -742,6 +744,7 @@ class TestCli:
             "lemma-seed-neg", "conditions-seed-neg", "examples-beta-0", "examples-beta-nan",
             "examples-beta-inf", "examples-growth-tol-neg", "compare-methods-repeat",
             "scaling-n-sweep-repeat", "scaling-n-sweep-0", "conditions-eta-repeat",
+            "conditions-eta-label-repeat",
             "examples-n-sweep-order", "examples-n-sweep-repeat"])
     def test_out_of_range_values_exit_two_without_traceback(self, argv, message, capsys):
         # one trial keeps each run short; examples has no trials to set

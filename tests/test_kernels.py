@@ -1,6 +1,7 @@
 """Property tests for the array kernels against per-entry reference oracles:
-tensor expansion, the dense contraction, CSM grouping, the phase lookup table,
-the leakage sums and the blocked probe loop."""
+tensor expansion, the dense contraction, CSM grouping, the CSM decision on
+exact means, the phase lookup table, the leakage sums, the D3 margin
+thresholds and the blocked probe loop."""
 
 import tracemalloc
 
@@ -17,6 +18,7 @@ from blindbeam import (
     PhaseGrid,
     RadioParams,
     as_grids,
+    cpp_decide,
     csm_decide,
     expand_links_to_tensor,
     generate_samples,
@@ -27,9 +29,9 @@ from blindbeam import (
 from blindbeam import beamforming
 from blindbeam.channel import effective_batch
 from blindbeam.beamforming import _GroupSums
-from blindbeam.conditions import _leakage_sums, leakage_abs_sum
-from conftest import (UNIT_POWER, IndexSetSpec, brute_force_gain, expand_links_oracle,
-                      random_graph, random_tensor, unblocked_csm_means)
+from blindbeam.conditions import RankOneFactors, _d3_scan, _leakage_sums, leakage_abs_sum
+from conftest import (UNIT_POWER, IndexSetSpec, brute_force_gain, d3_scan_oracle,
+                      expand_links_oracle, random_graph, random_tensor, unblocked_csm_means)
 
 kernel_settings = settings(deadline=None, max_examples=60)
 seeds = st.integers(0, 2**32 - 1)
@@ -151,6 +153,55 @@ def test_conditional_sample_mean_matches_naive_means(n, k, t, seed):
             groups.means()
         return
     assert np.array_equal(groups.means(), sums / counts)
+
+
+@kernel_settings
+@given(st.integers(2, 16), st.integers(1, 8), seeds)
+def test_csm_decide_on_exact_means_is_the_projection(k, n, seed):
+    """With the other elements uniform, E[P | theta_n = k] is |c0 + c_n w^k|^2
+    + sum_{m != n} |c_m|^2; its argmax is the grid point closest to
+    angle(c0) - angle(c_n), cpp_decide's pick.  Elements whose best and second
+    best means lie within 1e-6 of the row maximum are near-ties and skipped."""
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(k)
+    c0 = complex(*rng.standard_normal(2))
+    c = _complex(rng, n) * 10.0 ** rng.uniform(-2, 2, n)
+    power = np.abs(c) ** 2
+    means = (np.abs(c0 + c[:, None] * grid.factor_table()[None, :]) ** 2
+             + (power.sum() - power)[:, None])
+    top_two = np.sort(means, axis=1)[:, -2:]
+    clear = top_two[:, 1] - top_two[:, 0] > 1e-6 * top_two[:, 1]
+    got, want = csm_decide(means), cpp_decide(c0, c, grid)
+    assert np.array_equal(got[clear], want[clear])
+
+
+@st.composite
+def d3_cases(draw):
+    """(tensor, factors, grids, gamma_points) for L in {2, 3, 4} and small N.
+    Leakage and factor entries are exactly zero at random, sometimes all of
+    the leakage; a leading grid of 2 levels leaves a budget <= 0."""
+    L = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 5 if L < 4 else 3))
+    rng = np.random.default_rng(draw(seeds))
+    levels = draw(st.lists(st.integers(2, 32), min_size=L, max_size=L))
+    shape = (n + 1,) * L
+    leak_scale = draw(st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 10.0]))
+    entries = leak_scale * _complex(rng, shape) * (rng.random(shape) < 0.7)
+    vectors = [_complex(rng, n) * (rng.random(n) < 0.8) * 10.0 ** rng.uniform(-1, 1)
+               for _ in range(L)]
+    factors = RankOneFactors.from_raw(vectors)
+    entries[(slice(1, None),) * L] = factors.outer_product()
+    return (CascadedChannelTensor(entries), factors, as_grids(levels, L),
+            draw(st.integers(1, 400)))
+
+
+@kernel_settings
+@given(d3_cases())
+def test_d3_thresholds_match_the_element_scan(case):
+    got = _d3_scan(*case)
+    want = d3_scan_oracle(*case)
+    assert got[:3] == want[:3]
+    assert got[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
 
 
 @kernel_settings
