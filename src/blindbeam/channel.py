@@ -32,6 +32,14 @@ from .phases import PhaseAssignment
 MAX_TENSOR_ENTRIES = 10**7
 
 
+def _check_tensor_size(num_surfaces: int, num_elements: int, error=ValueError):
+    """Raise `error`, before allocation, for an (N+1)^L tensor above the cap."""
+    entries = (num_elements + 1) ** num_surfaces
+    if entries > MAX_TENSOR_ENTRIES:
+        raise error(f"a dense tensor at L={num_surfaces}, N={num_elements} would hold "
+                    f"{entries} entries, above the {MAX_TENSOR_ENTRIES} cap")
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Transmit power and noise power, both in watts."""
@@ -63,11 +71,7 @@ class CascadedChannelTensor:
         shape = a.shape
         if any(s != shape[0] for s in shape) or shape[0] < 2:
             raise ValueError(f"tensor axes must all equal N+1 >= 2, got shape {shape}")
-        if a.size > MAX_TENSOR_ENTRIES:
-            raise ValueError(
-                f"tensor with {a.size} entries exceeds the {MAX_TENSOR_ENTRIES} cap; "
-                "use the link-graph form for large systems"
-            )
+        _check_tensor_size(a.ndim, shape[0] - 1)
         if not np.all(np.isfinite(a.view(np.float64))):
             raise ValueError("tensor entries must be finite")
         a = np.ascontiguousarray(a)
@@ -107,30 +111,27 @@ class LinkChannelGraph:
 
     An irs_to_irs entry may also be given as a tuple (u, v) of two length-N
     vectors, meaning the rank-one matrix outer(u, v), which is what a
-    line-of-sight surface pair produces.  irs_to_irs then holds the
-    materialized matrix and rank_one keeps the pair, so the batch forward
-    pass applies that hop in O(B*N) instead of O(B*N^2).
+    line-of-sight surface pair produces.  irs_to_irs keeps the pair as it
+    is, never the N x N matrix, so the forward pass applies that hop in
+    O(B*N) instead of O(B*N^2); hop() materializes it on demand.
     """
 
     tx_to_irs: tuple[np.ndarray, ...]
     irs_to_rx: tuple[np.ndarray, ...]
     irs_to_irs: dict = field(default_factory=dict)
     tx_to_rx: complex = 0.0 + 0.0j
-    rank_one: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tx = tuple(np.asarray(v, dtype=np.complex128) for v in self.tx_to_irs)
-        rx = tuple(np.asarray(v, dtype=np.complex128) for v in self.irs_to_rx)
+        tx, rx = tuple(self.tx_to_irs), tuple(self.irs_to_rx)
         if not tx or len(tx) != len(rx):
             raise ValueError("need matching tx_to_irs and irs_to_rx vectors, one per surface")
-        n = tx[0].size
+        n = np.size(tx[0])
         if n < 1:
             raise ValueError("surfaces must have at least one element")
         tx = tuple(_as_complex_vector(v, n, f"tx_to_irs[{i}]") for i, v in enumerate(tx))
         rx = tuple(_as_complex_vector(v, n, f"irs_to_rx[{i}]") for i, v in enumerate(rx))
         L = len(tx)
         hops = {}
-        rank_one = {}
         for key, mat in dict(self.irs_to_irs).items():
             i, j = key
             if not (0 <= i < j < L):
@@ -139,24 +140,20 @@ class LinkChannelGraph:
             if isinstance(mat, tuple):
                 if len(mat) != 2:
                     raise ValueError(f"irs_to_irs[{key}] as a tuple must be a (u, v) pair")
-                u, v = (_as_complex_vector(x, n, f"irs_to_irs[{key}] factor") for x in mat)
-                if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                    raise ValueError("link entries must be finite")
-                rank_one[key] = (u, v)
-                m = np.outer(u, v)
-            else:
-                m = np.array(mat, dtype=np.complex128, copy=True)
-                if m.shape != (n, n):
-                    raise ValueError(f"irs_to_irs[{key}] must have shape ({n}, {n})")
+                hops[key] = tuple(_as_complex_vector(x, n, f"irs_to_irs[{key}] factor")
+                                  for x in mat)
+                continue
+            m = np.array(mat, dtype=np.complex128, copy=True)
+            if m.shape != (n, n):
+                raise ValueError(f"irs_to_irs[{key}] must have shape ({n}, {n})")
             m.flags.writeable = False
             hops[key] = m
-        for v in list(tx) + list(rx) + list(hops.values()):
-            if not np.all(np.isfinite(v.view(np.float64))):
+        for v in tx + rx + tuple(hops.values()):
+            if not np.all(np.isfinite(v)):
                 raise ValueError("link entries must be finite")
         object.__setattr__(self, "tx_to_irs", tx)
         object.__setattr__(self, "irs_to_rx", rx)
         object.__setattr__(self, "irs_to_irs", hops)
-        object.__setattr__(self, "rank_one", rank_one)
         object.__setattr__(self, "tx_to_rx", complex(self.tx_to_rx))
 
     @property
@@ -168,12 +165,13 @@ class LinkChannelGraph:
         return self.tx_to_irs[0].size
 
     def hop(self, i: int, j: int) -> np.ndarray:
-        """Surface i -> surface j coupling matrix, zeros if the link is absent."""
+        """Surface i -> surface j coupling matrix, zeros if the link is absent
+        and outer(u, v), built on each call, for a (u, v) pair."""
         m = self.irs_to_irs.get((i, j))
         if m is None:
             n = self.num_elements
             return np.zeros((n, n), dtype=np.complex128)
-        return m
+        return np.outer(*m) if isinstance(m, tuple) else m
 
 
 Channel = Union[CascadedChannelTensor, LinkChannelGraph]
@@ -199,7 +197,7 @@ def _check_assignment(channel: Channel, phases: PhaseAssignment):
         )
 
 
-def _forward(graph: LinkChannelGraph, factors, absorbing=None):
+def _forward(graph: LinkChannelGraph, factors, absorbing=None, reverse=False):
     """Forward pass over the surfaces in order, for B assignments at once.
 
     factors[ell] holds the (B, N) reflection factors of surface ell.  Each
@@ -207,6 +205,13 @@ def _forward(graph: LinkChannelGraph, factors, absorbing=None):
     `absorbing`, which re-radiates nothing.  Returns (g, incoming): g[b] sums
     every path that avoids the absorbing surface, and incoming is the (B, N)
     field arriving at the absorbing surface (None without one).
+
+    reverse=True runs the pass over the reversed graph, with no copies: the
+    receiver transmits, the surfaces come in reverse order, and each hop is
+    transposed, (u, v) read as (v, u) and a matrix as its transpose view.
+    incoming is then the field from each element of the absorbing surface
+    (still given in the original order, as the factors are) to the receiver.
+    That pass stops at the absorbing surface, so its g is partial.
 
     A rank-one hop outer(u, v) out of surface i adds (w_i @ u)[:, None] * v
     to the next field, kept as the (B,) coefficient and v.  A surface whose
@@ -218,17 +223,24 @@ def _forward(graph: LinkChannelGraph, factors, absorbing=None):
     """
     b, n = factors[0].shape
     L = graph.num_surfaces
+    txs, rxs, hops = graph.tx_to_irs, graph.irs_to_rx, graph.irs_to_irs
+    if reverse:
+        txs, rxs, factors = rxs[::-1], txs[::-1], factors[::-1]
+        hops = {(L - 1 - j, L - 1 - i): hop[::-1] if isinstance(hop, tuple) else hop.T
+                for (i, j), hop in hops.items()}
+        absorbing = L - 1 - absorbing
+        L = absorbing + 1
     g = np.full(b, graph.tx_to_rx, dtype=np.complex128)
     dense = [None] * L  # (B, N): transmitter link plus full-matrix hops in
     terms = [[] for _ in range(L)]  # (coef (B,), v (N,)) from rank-one hops in
     absorbed = None
     for ell in range(L):
-        f, tx, rx = factors[ell], graph.tx_to_irs[ell], graph.irs_to_rx[ell]
-        out = [j for j in range(ell + 1, L) if (ell, j) in graph.irs_to_irs]
-        thin = [j for j in out if (ell, j) in graph.rank_one]
-        full = [j for j in out if (ell, j) not in graph.rank_one]
+        f, tx, rx = factors[ell], txs[ell], rxs[ell]
+        out = [j for j in range(ell + 1, L) if (ell, j) in hops]
+        thin = [j for j in out if isinstance(hops[(ell, j)], tuple)]
+        full = [j for j in out if j not in thin]
         if ell != absorbing and dense[ell] is None and not full:
-            ys = np.stack([rx] + [graph.rank_one[(ell, j)][0] for j in thin], axis=1)
+            ys = np.stack([rx] + [hops[(ell, j)][0] for j in thin], axis=1)
             k = ys.shape[1]
             p = f @ np.concatenate([tx[:, None] * ys] + [v[:, None] * ys for _, v in terms[ell]],
                                    axis=1)
@@ -237,7 +249,7 @@ def _forward(graph: LinkChannelGraph, factors, absorbing=None):
                 proj = proj + coef[:, None] * p[:, t * k:(t + 1) * k]
             g += proj[:, 0]
             for col, j in enumerate(thin, start=1):
-                terms[j].append((proj[:, col], graph.rank_one[(ell, j)][1]))
+                terms[j].append((proj[:, col], hops[(ell, j)][1]))
             continue
         incoming = dense[ell]
         if incoming is None:
@@ -250,12 +262,12 @@ def _forward(graph: LinkChannelGraph, factors, absorbing=None):
         w = f * incoming
         g += w @ rx
         for j in thin:
-            u, v = graph.rank_one[(ell, j)]
+            u, v = hops[(ell, j)]
             terms[j].append((w @ u, v))
         for j in full:
             if dense[j] is None:
-                dense[j] = np.broadcast_to(graph.tx_to_irs[j], (b, n)).copy()
-            dense[j] += w @ graph.irs_to_irs[(ell, j)]
+                dense[j] = np.broadcast_to(txs[j], (b, n)).copy()
+            dense[j] += w @ hops[(ell, j)]
     return g, absorbed
 
 
@@ -278,32 +290,15 @@ def contract(entries: np.ndarray, rows, keep=None) -> np.ndarray:
     return g
 
 
-def _stage_coefficients_dense(tensor, phases, ell):
-    rows = [phases.factors_with_skip(i)[None, :] for i in range(tensor.num_surfaces)]
-    g = contract(tensor.entries, rows, keep=ell)[0]
-    return complex(g[0]), np.ascontiguousarray(g[1:])
-
-
-def _stage_coefficients_chain(graph, phases, ell):
-    L = graph.num_surfaces
-    rows = [phases.factors(i)[None, :] for i in range(L)]
-    g, incoming = _forward(graph, rows, absorbing=ell)
-    # backward pass from the receiver through the later surfaces
-    b = [None] * L
-    for i in range(L - 1, ell - 1, -1):
-        out = graph.irs_to_rx[i].astype(np.complex128, copy=True)
-        for j in range(i + 1, L):
-            m = graph.irs_to_irs.get((i, j))
-            if m is not None:
-                out += m @ (phases.factors(j) * b[j])
-        b[i] = out
-    return complex(g[0]), incoming[0] * b[ell]
-
-
 def _stage_coefficients(channel: Channel, phases: PhaseAssignment, ell: int):
     if isinstance(channel, CascadedChannelTensor):
-        return _stage_coefficients_dense(channel, phases, ell)
-    return _stage_coefficients_chain(channel, phases, ell)
+        rows = [phases.factors_with_skip(i)[None, :] for i in range(channel.num_surfaces)]
+        g = contract(channel.entries, rows, keep=ell)[0]
+        return complex(g[0]), np.ascontiguousarray(g[1:])
+    rows = [phases.factors(i)[None, :] for i in range(channel.num_surfaces)]
+    g, incoming = _forward(channel, rows, absorbing=ell)
+    _, outgoing = _forward(channel, rows, absorbing=ell, reverse=True)
+    return complex(g[0]), incoming[0] * outgoing[0]
 
 
 def stage_coefficients(channel: Channel, phases: PhaseAssignment, ell: int):
@@ -367,11 +362,7 @@ def expand_links_to_tensor(graph: LinkChannelGraph) -> CascadedChannelTensor:
     the all-zero entry being the direct channel.  Absent hop links count as 0.
     """
     L, n = graph.num_surfaces, graph.num_elements
-    if (n + 1) ** L > MAX_TENSOR_ENTRIES:
-        raise ValueError(
-            f"expanding would create {(n + 1) ** L} entries, above the "
-            f"{MAX_TENSOR_ENTRIES} cap"
-        )
+    _check_tensor_size(L, n)
     out = np.zeros((n + 1,) * L, dtype=np.complex128)
     out[(0,) * L] = graph.tx_to_rx
     # One block per nonempty surface subset p_1 < ... < p_r: the view
@@ -380,9 +371,10 @@ def expand_links_to_tensor(graph: LinkChannelGraph) -> CascadedChannelTensor:
     # multiplied in path order.  A subset with an absent hop stays zero.
     for subset in range(1, 2**L):
         stops = [ell for ell in range(L) if subset >> ell & 1]
-        hops = [graph.irs_to_irs.get(pair) for pair in zip(stops, stops[1:])]
-        if any(hop is None for hop in hops):
+        pairs = list(zip(stops, stops[1:]))
+        if any(pair not in graph.irs_to_irs for pair in pairs):
             continue
+        hops = [graph.hop(*pair) for pair in pairs]
         r = len(stops)
         block = out[tuple(slice(1, None) if ell in stops else 0 for ell in range(L))]
         block[...] = graph.tx_to_irs[stops[0]].reshape((n,) + (1,) * (r - 1))

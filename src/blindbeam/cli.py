@@ -5,9 +5,9 @@ its option table (experiments.OPTIONS); the runner types and range-checks
 every value through that table's rows.
 
 Exit codes: 0 on success, 1 when a runner's built-in assertions fail (example
-decisions or growth out of tolerance, deviation bound violated), 2 on
-configuration errors, including a sample count too small to fill every
-(element, phase index) group.
+decisions or growth out of tolerance, deviation bound violated), 2 on bad
+configuration, such as too few samples to fill every (element, phase index)
+group or a dense tensor above its size cap, and on an unwritable output file.
 """
 
 from __future__ import annotations
@@ -73,12 +73,16 @@ def main(argv=None) -> int:
     except (ConfigError, EmptyGroupError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.out:
-        write_csv(args.out, result.records, result.summary_lines, timing=args.timing)
-        print(f"wrote {len(result.records)} records to {args.out}")
-    if args.json_out:
-        write_json(args.json_out, config, result)
-        print(f"wrote JSON to {args.json_out}")
+    try:
+        if args.out:
+            write_csv(args.out, result.records, result.summary_lines, timing=args.timing)
+            print(f"wrote {len(result.records)} records to {args.out}")
+        if args.json_out:
+            write_json(args.json_out, config, result)
+            print(f"wrote JSON to {args.json_out}")
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 2
     for line in result.report_lines:
         print(line)
     if result.failures:

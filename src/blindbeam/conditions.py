@@ -324,6 +324,10 @@ def margin_budget(grids) -> float:
     return 0.5 - sum(1.0 / g.num_levels for g in grids[:-1])
 
 
+def _d2_holds(grids) -> bool:
+    return grids[-1].num_levels >= 3 and margin_budget(grids) > 0.0
+
+
 def margin_rhs(factors: RankOneFactors, grids, gammas: np.ndarray, ell: int) -> np.ndarray:
     """Right-hand side of the margin inequality for surface ell (0-based) at
     each margin angle gamma, divided by the element gain |u_ell[m]|.
@@ -427,7 +431,7 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids,
         notes.append(f"d1: {zero}")
     d1 = factors is not None and residual <= tol and zero is None
     budget = margin_budget(grids)
-    d2 = grids[-1].num_levels >= 3 and budget > 0.0
+    d2 = _d2_holds(grids)
     d3, gamma_min, gamma_upper, best_slack = ((False, None, None, -math.inf) if factors is None
                                               else _d3_scan(t, factors, grids, gamma_points))
     return ConditionReport(

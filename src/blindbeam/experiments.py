@@ -29,6 +29,7 @@ from .beamforming import (
 )
 from .channel import (
     RadioParams,
+    _check_tensor_size,
     effective_channel,
     expand_links_to_tensor,
     received_power,
@@ -261,6 +262,7 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     t_rule, noise_draws, margin = o.t_rule, o.noise, o.leakage_margin
     params = _radio_params(o)
     grids = _grids_for(levels, L, check_d_grids)
+    _check_tensor_size(L, max(n_list), ConfigError)
     t_csm = ({n: _samples_per_surface(t_rule, n, grids) for n in n_list}
              if "csm" in methods else {})
 
@@ -411,6 +413,7 @@ def run_conditions_probability(config: ExperimentConfig) -> ExperimentResult:
     etas = o.eta_sweep
     levels = o.levels or [2 * L]
     grids = _grids_for(levels, L)
+    _check_tensor_size(L, n, ConfigError)
     set_grids = {"C": as_grids(levels[0], 2), "Cprime": as_grids(levels[0], 2), "D": grids}
     staircases = {(ell, eta_idx): Scenario(ell, n, set_grids["D" if ell == L else "C"], None,
                                            eta, zero_nlos=True)
@@ -470,6 +473,7 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
     """
     o = config.options(OPTIONS["examples"])
     seed, n_list, beta, rel_tol = o.seed, o.n_sweep, o.beta, o.growth_rel_tol
+    _check_tensor_size(2, max(n_list), ConfigError)
     params = RadioParams(transmit_power_w=1.0)
     records = []
     report = []
@@ -524,6 +528,7 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
     seed, trials, threads, L, n = o.seed, o.trials, o.threads, o.surfaces, o.elements
     margin = o.leakage_margin
     grids = _grids_for(o.levels, L, check_d_grids)
+    _check_tensor_size(L, n, ConfigError)
 
     def one_trial(trial: int) -> tuple:
         inst = make_d_instance(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL),

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import CascadedChannelTensor
-from .conditions import RankOneFactors, margin_budget, margin_rhs
+from .channel import CascadedChannelTensor, _check_tensor_size
+from .conditions import RankOneFactors, _d2_holds, margin_budget, margin_rhs
 from .phases import PhaseGrid, as_grids
 
 EXAMPLE_IDS = (1, 2, 3)
@@ -68,6 +68,7 @@ def build_example(example_id: int, variant: str, num_elements: int,
         raise ValueError("num_elements must be odd and at least 3")
     if not (beta > 0):
         raise ValueError("beta must be positive")
+    _check_tensor_size(2, n)
     odd, even = _parity_masks(n)
     sign = np.where(odd, -1.0, 1.0)  # (-1)^n for n = 1..N
     entries = np.zeros((n + 1, n + 1), dtype=np.complex128)
@@ -191,14 +192,13 @@ def max_leakage_scale(num_surfaces: int, num_elements: int, grids,
 
 
 def check_d_grids(grids):
-    """Raise ValueError unless the grids meet the resolution requirements of
-    make_d_instance: the last grid has at least 3 levels and, for L >= 2,
-    the leading grids leave a positive margin budget."""
-    ks = [g.num_levels for g in grids]
-    if ks[-1] < 3 or (len(ks) >= 2 and margin_budget(grids) <= 0.0):
+    """Raise ValueError unless the grids meet D2, the resolution requirements
+    of make_d_instance: the last grid has at least 3 levels and the leading
+    grids leave a positive margin budget."""
+    if not _d2_holds(grids):
         raise ValueError(
-            f"grids {ks} violate the resolution requirements (last grid >= 3 "
-            "levels and the leading grids' 1/K budget under 1/2)"
+            f"grids {[g.num_levels for g in grids]} violate the resolution requirements "
+            "(last grid >= 3 levels and the leading grids' 1/K budget under 1/2)"
         )
 
 
@@ -223,6 +223,7 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
     L, n = int(num_surfaces), int(num_elements)
     if L < 1 or n < 1:
         raise ValueError("need at least one surface and one element")
+    _check_tensor_size(L, n)
     grids = as_grids(grids, L)
     check_d_grids(grids)
     if not (0.0 < margin <= 1.0):

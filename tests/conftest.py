@@ -55,11 +55,10 @@ def expand_links_oracle(graph: LinkChannelGraph) -> np.ndarray:
         first_ell, first_k = stops[0]
         amp = graph.tx_to_irs[first_ell][first_k - 1]
         for (i, m), (j, k) in zip(stops, stops[1:]):
-            hop = graph.irs_to_irs.get((i, j))
-            if hop is None:
+            if (i, j) not in graph.irs_to_irs:
                 amp = 0.0 + 0.0j
                 break
-            amp = amp * hop[m - 1, k - 1]
+            amp = amp * graph.hop(i, j)[m - 1, k - 1]
         else:
             last_ell, last_k = stops[-1]
             amp = amp * graph.irs_to_rx[last_ell][last_k - 1]

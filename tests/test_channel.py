@@ -13,6 +13,7 @@ from blindbeam import (
     direct_gain,
     effective_channel,
     expand_links_to_tensor,
+    make_d_instance,
     received_power,
     snr_boost,
     stage_coefficients,
@@ -72,6 +73,22 @@ class TestDenseEvaluator:
             CascadedChannelTensor(np.ones((1, 1), dtype=complex))
         with pytest.raises(ValueError):
             CascadedChannelTensor(np.array([[1.0, np.inf], [0, 0]], dtype=complex))
+
+    def test_size_cap_is_checked_before_allocation(self):
+        # one message from every function that builds an (N+1)^L array,
+        # raised before the array (or any draw) exists: 221^3 and 3164^2
+        # entries pass 10^7
+        cap = r"a dense tensor at L=3, N=220 would hold 10793861 entries, above the 10000000 cap"
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=cap):
+            make_d_instance(3, 220, 8, rng)
+        assert rng.bit_generator.state == state
+        ones = tuple(np.ones(220, complex) for _ in range(3))
+        with pytest.raises(ValueError, match=cap):
+            expand_links_to_tensor(LinkChannelGraph(ones, ones, {(0, 1): (ones[0], ones[1])}, 1.0))
+        with pytest.raises(ValueError, match="L=2, N=3163 would hold 10010896 entries"):
+            build_example(1, "good", 3163)
 
 
 class TestChainEvaluator:
@@ -174,9 +191,13 @@ class TestFactoredHops:
         return _factored_pair(rng, request.param, self.N)
 
     def test_graph_keeps_pair_and_matrix(self, graphs):
+        # a (u, v) hop is stored as its pair only; hop() builds outer(u, v)
         factored, materialized = graphs
-        assert factored.rank_one and not materialized.rank_one
-        for pair, (u, v) in factored.rank_one.items():
+        pairs = {k: h for k, h in factored.irs_to_irs.items() if isinstance(h, tuple)}
+        assert pairs and all(isinstance(h, np.ndarray) and h.shape == (self.N, self.N)
+                             for h in materialized.irs_to_irs.values())
+        for pair, (u, v) in pairs.items():
+            assert u.shape == v.shape == (self.N,)
             assert np.array_equal(factored.hop(*pair), np.outer(u, v))
             assert np.array_equal(factored.hop(*pair), materialized.hop(*pair))
         assert factored.irs_to_irs.keys() == materialized.irs_to_irs.keys()

@@ -1,6 +1,7 @@
 """Optimality-condition checkers, index-set bookkeeping, and the
 alignment-error bound, verified against explicit path enumerations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from blindbeam import (
 )
 from blindbeam.channel import CascadedChannelTensor
 from blindbeam.conditions import margin_budget, margin_rhs
-from blindbeam.fixtures import d_instance_a_max
+from blindbeam.fixtures import check_d_grids, d_instance_a_max
 from conftest import IndexSetSpec
 
 
@@ -309,6 +310,18 @@ class TestDConditions:
         assert not report.subconditions["d2"]
         assert report.margins["d2_budget"] == pytest.approx(0.0)
         assert not report.subconditions["d3"]
+
+    @pytest.mark.parametrize("num_surfaces", [2, 3])
+    def test_grid_check_raises_exactly_when_d2_fails(self, num_surfaces, rng):
+        # make_d_instance's grid check and the D report share one predicate
+        inst = make_d_instance(num_surfaces, 3, 2 * num_surfaces, rng)
+        for levels in itertools.product((2, 3, 4, 6, 8), repeat=num_surfaces):
+            d2 = check_d_conditions(inst.tensor, levels, factors=inst.factors).subconditions["d2"]
+            if d2:
+                check_d_grids(as_grids(levels, num_surfaces))
+            else:
+                with pytest.raises(ValueError, match="violate the resolution requirements"):
+                    check_d_grids(as_grids(levels, num_surfaces))
 
     def test_zero_leakage_scale_is_trivially_feasible(self, rng):
         report = d_report(make_d_instance(2, 4, 4, rng, a_scale=0.0))

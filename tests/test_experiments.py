@@ -70,11 +70,12 @@ def assert_same_graph(got, want):
     assert got.tx_to_rx == want.tx_to_rx
     assert len(got.tx_to_irs) == len(want.tx_to_irs)
     assert sorted(got.irs_to_irs) == sorted(want.irs_to_irs)
-    assert sorted(got.rank_one) == sorted(want.rank_one)
     for a, b in zip(got.tx_to_irs + got.irs_to_rx, want.tx_to_irs + want.irs_to_rx):
         assert np.array_equal(a, b)
-    for key in want.irs_to_irs:
-        assert np.array_equal(got.irs_to_irs[key], want.irs_to_irs[key])
+    for key, hop in want.irs_to_irs.items():
+        # the same stored form: a (u, v) pair or a matrix
+        assert type(got.irs_to_irs[key]) is type(hop)
+        assert np.array_equal(got.irs_to_irs[key], hop)
 
 
 def stage_by_stage(seed, trial, tags, num_surfaces, n, geometry, prop, zero_nlos):
@@ -602,6 +603,18 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    def test_unwritable_output_exits_two(self, tmp_path, flag, capsys):
+        # a directory where the file should go, and a file where its parent
+        # directory should go
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for path in (tmp_path, blocker / "x.csv"):
+            assert main(["examples", flag, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("output error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_runner_failure_exits_one(self, capsys):
         rc = main(["examples", "--n-sweep", "3,5", "--growth-rel-tol", "1e-9"])
         assert rc == 1
@@ -733,6 +746,14 @@ class TestCli:
          "eta_sweep lists 0.5 and 0.5000001, which both print as eta=0.5"),
         (["examples", "--n-sweep", "9,19,9"], "n_sweep must increase, got 9 after 19"),
         (["examples", "--n-sweep", "9,9"], "n_sweep must increase, got 9 after 9"),
+        (["scaling", "-L", "3", "-K", "8", "--n-sweep", "8,16,220"],
+         "a dense tensor at L=3, N=220 would hold 10793861 entries, above the 10000000 cap"),
+        (["lemma-check", "-L", "3", "-K", "8", "-N", "220"],
+         "a dense tensor at L=3, N=220 would hold 10793861 entries, above the 10000000 cap"),
+        (["conditions", "-L", "4", "-N", "100"],
+         "a dense tensor at L=4, N=100 would hold 104060401 entries, above the 10000000 cap"),
+        (["examples", "--n-sweep", "9,3163"],
+         "a dense tensor at L=2, N=3163 would hold 10010896 entries, above the 10000000 cap"),
     ], ids=["noise-averaged-0", "eta-1.5", "lemma-levels-2", "scaling-levels-2",
             "lemma-margin-1.5", "scaling-margin-neg", "scaling-t-rule-below-k",
             "scaling-t-rule-below-mixed-k", "compare-t-rule-below-k", "scaling-surfaces-0",
@@ -745,7 +766,8 @@ class TestCli:
             "examples-beta-inf", "examples-growth-tol-neg", "compare-methods-repeat",
             "scaling-n-sweep-repeat", "scaling-n-sweep-0", "conditions-eta-repeat",
             "conditions-eta-label-repeat",
-            "examples-n-sweep-order", "examples-n-sweep-repeat"])
+            "examples-n-sweep-order", "examples-n-sweep-repeat", "scaling-dense-cap",
+            "lemma-dense-cap", "conditions-dense-cap", "examples-dense-cap"])
     def test_out_of_range_values_exit_two_without_traceback(self, argv, message, capsys):
         # one trial keeps each run short; examples has no trials to set
         trials = [] if argv[0] == "examples" else ["--trials", "1"]

@@ -1,7 +1,7 @@
 """Property tests for the array kernels against per-entry reference oracles:
-tensor expansion, the dense contraction, CSM grouping, the CSM decision on
-exact means, the phase lookup table, the leakage sums, the D3 margin
-thresholds and the blocked probe loop."""
+tensor expansion, the link-graph stage coefficients, the dense contraction,
+CSM grouping, the CSM decision on exact means, the phase lookup table, the
+leakage sums, the D3 margin thresholds and the blocked probe loop."""
 
 import tracemalloc
 
@@ -43,10 +43,11 @@ def _complex(rng, shape):
 
 @st.composite
 def link_graphs(draw):
-    """Link graphs with L in {1, 2, 3}; every hop and every tx/rx vector may
-    be absent, and some link entries are exactly zero."""
-    L = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 4))
+    """Link graphs with L in {1, 2, 3, 4} (N <= 3 at L = 4); every hop and
+    every tx/rx vector may be absent, each present hop is a matrix or a
+    (u, v) pair, and some link entries are exactly zero."""
+    L = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4 if L < 4 else 3))
     rng = np.random.default_rng(draw(seeds))
 
     def link(shape):
@@ -54,12 +55,15 @@ def link_graphs(draw):
             return np.zeros(shape, dtype=complex)
         return _complex(rng, shape) * (rng.random(shape) < 0.8)
 
+    def hop():
+        return (link(n), link(n)) if draw(st.booleans()) else link((n, n))
+
     pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return LinkChannelGraph(
         tuple(link(n) for _ in range(L)),
         tuple(link(n) for _ in range(L)),
-        {pair: link((n, n)) for pair, keep in zip(pairs, present) if keep},
+        {pair: hop() for pair, keep in zip(pairs, present) if keep},
         complex(*rng.standard_normal(2)),
     )
 
@@ -71,6 +75,27 @@ def test_expansion_matches_per_entry_oracle(graph):
     want = expand_links_oracle(graph)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@kernel_settings
+@given(link_graphs(), st.integers(2, 6), seeds)
+def test_graph_stage_coefficients_match_the_expanded_tensor(graph, k, seed):
+    """The link-graph stage coefficients, whose backward field is the
+    forward pass over the reversed graph, against the dense contraction of
+    the expanded tensor, at every surface, within 1e-12 of the total path
+    magnitude."""
+    L, n = graph.num_surfaces, graph.num_elements
+    tensor = expand_links_to_tensor(graph)
+    atol = 1e-12 * np.abs(tensor.entries).sum()
+    rng = np.random.default_rng(seed)
+    grids = as_grids(k, L)
+    phases = PhaseAssignment(grids, tuple(rng.integers(0, k, n) for _ in range(L)))
+    for ell in range(L):
+        c0, c = stage_coefficients(graph, phases, ell)
+        w0, w = stage_coefficients(tensor, phases, ell)
+        assert c.shape == (n,)
+        assert np.allclose(np.concatenate(([c0], c)), np.concatenate(([w0], w)),
+                           rtol=1e-12, atol=atol)
 
 
 def _stage_oracle(entries, phases, ell):

@@ -260,19 +260,25 @@ class TestBuildGraph:
         # line-of-sight chain, so the graph must hold it as (u, v) factors
         scenario = load_scenario(default_scenario_path())
         graph, _, _ = realize_scenario(scenario, seed=0, trial=0)
-        assert set(graph.rank_one) == {(0, 1)}
-        u, v = graph.rank_one[(0, 1)]
+        assert set(graph.irs_to_irs) == {(0, 1)}
+        u, v = graph.irs_to_irs[(0, 1)]
         assert np.array_equal(graph.hop(0, 1), np.outer(u, v))
         want = los_link_channels(scenario.geometry, AngleTable.from_geometry(scenario.geometry),
                                  1, 2, scenario.num_elements)
         assert np.array_equal(graph.hop(0, 1), want)
+        # at N=4096 an (N, N) hop would take 256 MiB; the graph holds none
+        big, _, _ = realize_scenario(scenario, seed=0, trial=0, num_elements=4096)
+        links = big.tx_to_irs + big.irs_to_rx + big.irs_to_irs[(0, 1)]
+        assert [a.shape for a in links] == [(4096,)] * 6
 
     def test_nlos_surface_pair_is_a_full_matrix(self):
         g = square_geometry()
         graph = build_link_graph(g, AngleTable.from_geometry(g),
                                  PropagationMap(np.zeros((4, 4), dtype=bool)), 3,
                                  np.random.default_rng(0))
-        assert not graph.rank_one and (0, 1) in graph.irs_to_irs
+        assert set(graph.irs_to_irs) == {(0, 1)}
+        assert isinstance(graph.irs_to_irs[(0, 1)], np.ndarray)
+        assert graph.irs_to_irs[(0, 1)].shape == (3, 3)
 
 
 class TestPlacement:
