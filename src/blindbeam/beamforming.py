@@ -154,33 +154,45 @@ def _sequential(channel: Channel, grids, decide) -> BeamformingResult:
     return BeamformingResult(phases, evaluations)
 
 
+def _measured_chunks(grids, width: int, total: int, evaluate, params: RadioParams,
+                     noise_draws: int, rng, chunk: int = _CHUNK):
+    """Yield (indices, powers) for `total` uniform probes, chunk by chunk.
+
+    A chunk of up to `chunk` probes draws each grid's (rows, width) indices
+    in turn, into one compact buffer per grid (uint8 when K <= 256), then
+    measures evaluate(index blocks) -> (rows,) complex in one received_power
+    call, which draws the chunk's noise.  The draw and the evaluation run in
+    blocks of at most _BLOCK index entries; a row-split draw returns the same
+    indices as one draw, so the RNG stream is that of drawing each chunk whole.
+    """
+    step = max(1, _BLOCK // (len(grids) * width))
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        draws = [np.empty((rows, width), dtype=np.uint8 if g.num_levels <= 256 else np.int64)
+                 for g in grids]
+        for d, g in zip(draws, grids):
+            for b in range(0, rows, step):
+                d[b:b + step] = generate_samples(width, g, len(d[b:b + step]), rng)
+        gains = np.concatenate([evaluate([d[b:b + step] for d in draws])
+                                for b in range(0, rows, step)])
+        yield draws, received_power(gains, params, noise_draws, rng)
+
+
 def _csm_means(width: int, grid: PhaseGrid, total: int, evaluate, params: RadioParams,
                noise_draws: int, rng) -> np.ndarray:
     """(width, K) conditional means of `total` uniform probes of `width`
-    elements on one grid.
-
-    Each chunk of up to _CHUNK probes draws its phase indices, takes the
-    noiseless effective channel evaluate(indices) -> (rows,) complex, measures
-    every power of the chunk in one received_power call and bins them.  The
-    draw, the evaluation and the binning run in blocks of at most _BLOCK
-    entries; only the chunk's indices are kept whole, in one compact buffer
-    (uint8 when K <= 256).  A row-split draw returns the same indices as one
-    draw, so the RNG stream is that of drawing each chunk whole.
+    elements on one grid, measured by _measured_chunks and binned in blocks
+    of at most _BLOCK entries.  A noisy chunk holds _CHUNK probes, as its
+    noise follows all its indices; a noiseless chunk is one block.  The
+    working set is one chunk's compact index buffer plus temporaries of at
+    most _BLOCK entries, and the means are those of whole _CHUNK chunks.
     """
     groups = _GroupSums(width, grid.num_levels)
-    dtype = np.uint8 if grid.num_levels <= 256 else np.int64
     step = max(1, _BLOCK // width)
-    for start in range(0, total, _CHUNK):
-        rows = min(_CHUNK, total - start)
-        idx = np.empty((rows, width), dtype=dtype)
-        g = np.empty(rows, dtype=np.complex128)
-        blocks = range(0, rows, step)
-        for b in blocks:
-            block = idx[b:b + step]
-            block[:] = generate_samples(width, grid, len(block), rng)
-            g[b:b + step] = evaluate(block)
-        powers = received_power(g, params, noise_draws, rng)
-        for b in blocks:
+    for (idx,), powers in _measured_chunks((grid,), width, total, lambda d: evaluate(d[0]),
+                                           params, noise_draws, rng,
+                                           _CHUNK if noise_draws else step):
+        for b in range(0, len(idx), step):
             groups.add(idx[b:b + step], powers[b:b + step])
     return groups.means()
 
@@ -195,8 +207,8 @@ def sequential_csm(channel: Channel, grids, samples_per_surface: int,
     noise_draws noisy draws each, and keeps the per-element argmax of the
     conditional means.  Exactly L * samples_per_surface power measurements
     are taken and never materialized whole: the working set is one compact
-    index buffer per chunk of _CHUNK probes plus temporaries of at most
-    _BLOCK entries (see _csm_means).
+    index buffer per chunk (_CHUNK probes when noisy, one block when
+    noiseless) plus temporaries of at most _BLOCK entries (see _csm_means).
     """
     n = dims(channel)[1]
     t = samples_per_surface
@@ -224,15 +236,17 @@ def sequential_cpp_oracle(channel: Channel, grids) -> BeamformingResult:
 def random_beamforming(channel: Channel, grids, budget: int, params: RadioParams,
                        noise_draws: int, rng) -> BeamformingResult:
     """Joint random search: draw `budget` full assignments, keep the best
-    measured one.  Ties keep the earliest draw."""
+    measured one.  Ties keep the earliest draw.  The working set is one
+    chunk's L compact index buffers plus temporaries of at most _BLOCK
+    entries (see _measured_chunks)."""
     if budget < 1:
         raise ValueError("budget must be positive")
     L, n = dims(channel)
     grids = as_grids(grids, L)
     best_power = -1.0
-    for start in range(0, budget, _CHUNK):
-        draws = [generate_samples(n, g, min(_CHUNK, budget - start), rng) for g in grids]
-        powers = received_power(effective_batch(channel, grids, draws), params, noise_draws, rng)
+    for draws, powers in _measured_chunks(grids, n, budget,
+                                          lambda d: effective_batch(channel, grids, d),
+                                          params, noise_draws, rng):
         top = int(np.argmax(powers))
         if powers[top] > best_power:
             best_power = float(powers[top])

@@ -60,12 +60,17 @@ class CascadedChannelTensor:
 
     entries[n_1, ..., n_L]: n_ell = 0 skips surface ell, n_ell >= 1 reflects
     off element n_ell.  entries[0, ..., 0] is the direct channel.
+
+    A read-only, C-contiguous complex128 array is shared, so a builder that
+    freezes its fresh array hands it over uncopied; anything else is copied.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=np.complex128, copy=True)
+        a = np.asarray(self.entries)
+        if a.flags.writeable or not a.flags.c_contiguous or a.dtype != np.complex128:
+            a = np.array(a, dtype=np.complex128, order="C")
         if a.ndim < 1:
             raise ValueError("tensor must have at least one axis")
         shape = a.shape
@@ -74,7 +79,6 @@ class CascadedChannelTensor:
         _check_tensor_size(a.ndim, shape[0] - 1)
         if not np.all(np.isfinite(a.view(np.float64))):
             raise ValueError("tensor entries must be finite")
-        a = np.ascontiguousarray(a)
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -381,6 +385,7 @@ def expand_links_to_tensor(graph: LinkChannelGraph) -> CascadedChannelTensor:
         for axis, hop in enumerate(hops):
             block *= hop.reshape((1,) * axis + (n, n) + (1,) * (r - axis - 2))
         block *= graph.irs_to_rx[stops[-1]]
+    out.flags.writeable = False
     return CascadedChannelTensor(out)
 
 

@@ -181,8 +181,9 @@ def _map_ordered(fn, keys, threads: int) -> list:
         return list(pool.map(fn, keys))
 
 
-# the most samples per surface a rule may ask for: far above the budgets in
-# use (theory:1 asks for 1.9e6 at N=128), and bounded so that every run ends
+# the most samples per surface a rule may ask for, and the most probes of a
+# random or virtual run: far above the budgets in use (theory:1 asks for
+# 1.9e6 at N=128), and bounded so that every run ends
 _MAX_SAMPLES = 10**9
 
 
@@ -346,6 +347,10 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     methods, t_rule, noise_draws = o.methods, o.t_rule, o.noise
     if "random" in methods or "virtual" in methods:
         budget = scenario.num_surfaces * o.budget_per_surface
+        if budget > _MAX_SAMPLES:
+            raise ConfigError(f"budget_per_surface {o.budget_per_surface} gives {budget} probes "
+                              f"on {scenario.num_surfaces} surfaces, above the cap of "
+                              f"{_MAX_SAMPLES:.0e}")
     if "virtual" in methods and len({g.num_levels for g in scenario.grids}) > 1:
         raise ConfigError(f"method virtual needs one level count on every surface, got "
                           f"{_levels_label(scenario.grids)}")

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .beamforming import _BLOCK
 from .channel import CascadedChannelTensor, _check_tensor_size
 from .conditions import RankOneFactors, _d2_holds, margin_budget, margin_rhs
 from .phases import PhaseGrid, as_grids
@@ -72,7 +73,7 @@ def build_example(example_id: int, variant: str, num_elements: int,
     odd, even = _parity_masks(n)
     sign = np.where(odd, -1.0, 1.0)  # (-1)^n for n = 1..N
     entries = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    k4 = (PhaseGrid(4), PhaseGrid(4))
+    grids = (PhaseGrid(4), PhaseGrid(4))
     idx = {"zero": np.zeros(n, dtype=np.int64)}
 
     if example_id == 1:
@@ -86,10 +87,7 @@ def build_example(example_id: int, variant: str, num_elements: int,
             pick = np.where(odd, 0, 2).astype(np.int64)
             expected = (pick, pick.copy())
             note = "pure parity outer product; both surfaces flip even elements"
-        return ExampleFixture(example_id, variant, CascadedChannelTensor(entries),
-                              k4, expected, 2 if variant == "bad" else 4, note)
-
-    if example_id == 2:
+    elif example_id == 2:
         u1 = math.sqrt(beta) * 1j * sign      # e^{j(n + 1/2) pi}
         u2 = math.sqrt(beta) * sign
         entries[1:, 1:] = np.outer(u1, u2)
@@ -104,31 +102,28 @@ def build_example(example_id: int, variant: str, num_elements: int,
             expected = (idx["zero"], np.where(odd, 0, 1).astype(np.int64))
             note = "binary grids lack the quarter turns the first surface needs"
         else:
-            grids = k4
             expected = (
                 np.where(odd, 3, 1).astype(np.int64),
                 np.where(odd, 0, 2).astype(np.int64),
             )
             note = ("quarter-turn grid recovers quartic growth despite the "
                     "parity-mixed one-hop magnitudes (beta/3 vs sqrt(beta)/3)")
-        return ExampleFixture(example_id, variant, CascadedChannelTensor(entries),
-                              grids, expected, 2 if variant == "bad" else 4, note)
-
-    # example 3: strong one-hop leakage through the first surface
-    entries[1:, 0] = 2.0 * beta * 1j
-    if variant == "bad":
-        entries[1:, 1:] = beta * np.outer(sign, sign)
-        expected = (
-            np.full(n, 3, dtype=np.int64),
-            np.where(odd, 1, 3).astype(np.int64),
-        )
-        note = "one-hop paths dominate the alternating two-hop rows"
-    else:
-        entries[1:, 1:] = beta
-        expected = (idx["zero"], np.full(n, 1, dtype=np.int64))
-        note = "constant two-hop rows outweigh the same one-hop leakage"
+    else:  # example 3: strong one-hop leakage through the first surface
+        entries[1:, 0] = 2.0 * beta * 1j
+        if variant == "bad":
+            entries[1:, 1:] = beta * np.outer(sign, sign)
+            expected = (
+                np.full(n, 3, dtype=np.int64),
+                np.where(odd, 1, 3).astype(np.int64),
+            )
+            note = "one-hop paths dominate the alternating two-hop rows"
+        else:
+            entries[1:, 1:] = beta
+            expected = (idx["zero"], np.full(n, 1, dtype=np.int64))
+            note = "constant two-hop rows outweigh the same one-hop leakage"
+    entries.flags.writeable = False
     return ExampleFixture(example_id, variant, CascadedChannelTensor(entries),
-                          k4, expected, 2 if variant == "bad" else 4, note)
+                          grids, expected, 2 if variant == "bad" else 4, note)
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,13 @@ _SINGLE_SURFACE_CAP = 1.0
 
 
 def _unit_phases(rng, shape) -> np.ndarray:
-    return np.exp(2j * math.pi * rng.random(shape))
+    """np.exp(2j * pi * rng.random(shape)), bit for bit and RNG stream alike,
+    built in place from _BLOCK uniforms at a time: no full-size temporary."""
+    z = np.empty(shape, dtype=np.complex128)
+    flat = z.reshape(-1)
+    for b in range(0, flat.size, _BLOCK):
+        np.multiply(2j * math.pi, rng.random(len(flat[b:b + _BLOCK])), out=flat[b:b + _BLOCK])
+    return np.exp(z, out=z)
 
 
 def _draw_factors(num_surfaces: int, num_elements: int, rng) -> RankOneFactors:
@@ -229,9 +230,7 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
     if not (0.0 < margin <= 1.0):
         raise ValueError("margin must lie in (0, 1]")
     factors = _draw_factors(L, n, rng)
-    shape = (n + 1,) * L
-    entries = _unit_phases(rng, shape)
-    entries[(slice(1, None),) * L] = factors.outer_product()
+    entries = _unit_phases(rng, (n + 1,) * L)
     a_max = max_leakage_scale(L, n, grids, factors)
     if a_scale is None:
         a = margin * a_max
@@ -244,8 +243,13 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
                 f"a_scale {a:g} exceeds the largest feasible leakage scale "
                 f"{a_max:g} for this draw"
             )
-    skip_mask = np.ones(shape, dtype=bool)
-    skip_mask[(slice(1, None),) * L] = False
-    entries[skip_mask] *= a
+    # in place: skip paths by first skipped surface i, then outer_product()
+    for i in range(L):
+        entries[(slice(1, None),) * i + (0,)] *= a
+    active = entries[(slice(1, None),) * L]
+    active[...] = factors.vectors[0].reshape((n,) + (1,) * (L - 1))
+    for i in range(1, L):
+        active *= factors.vectors[i].reshape((n,) + (1,) * (L - 1 - i))
+    entries.flags.writeable = False
     return DInstance(tensor=CascadedChannelTensor(entries), factors=factors, grids=grids,
                      a_scale=a, a_max=a_max)

@@ -21,6 +21,7 @@ from blindbeam import (
     received_power,
 )
 from blindbeam.beamforming import _CHUNK, _GroupSums, _sequential
+from blindbeam.channel import effective_batch
 from blindbeam.conditions import _SLACK, _leakage_sums, margin_budget, margin_rhs
 
 # Keep exhaustive enumeration honest but bounded.
@@ -155,6 +156,24 @@ def unblocked_csm_means(width, grid, total, evaluate, params, noise_draws, rng) 
         idx = generate_samples(width, grid, min(_CHUNK, total - start), rng)
         groups.add(idx, received_power(evaluate(idx), params, noise_draws, rng))
     return groups.means()
+
+
+def unblocked_random_beamforming(channel, grids, budget, params, noise_draws,
+                                 rng) -> BeamformingResult:
+    """Joint random search with no compute blocks: every chunk of _CHUNK
+    assignments is drawn as L (rows, N) int64 arrays, evaluated and measured
+    whole.  The reference for the blocked random_beamforming."""
+    L, n = dims(channel)
+    grids = as_grids(grids, L)
+    best_power = -1.0
+    for start in range(0, budget, _CHUNK):
+        draws = [generate_samples(n, g, min(_CHUNK, budget - start), rng) for g in grids]
+        powers = received_power(effective_batch(channel, grids, draws), params, noise_draws, rng)
+        top = int(np.argmax(powers))
+        if powers[top] > best_power:
+            best_power = float(powers[top])
+            best_idx = tuple(d[top].copy() for d in draws)
+    return BeamformingResult(PhaseAssignment(grids, best_idx), budget)
 
 
 def d3_scan_oracle(tensor: CascadedChannelTensor, factors, grids, gamma_points: int):

@@ -91,6 +91,31 @@ class TestDenseEvaluator:
             build_example(1, "good", 3163)
 
 
+class TestTensorSharing:
+    def test_read_only_contiguous_complex_is_shared(self):
+        a = np.ones((3, 3), dtype=np.complex128)
+        a.flags.writeable = False
+        assert np.shares_memory(CascadedChannelTensor(a).entries, a)
+
+    def test_writable_input_is_copied(self):
+        a = np.ones((3, 3), dtype=np.complex128)
+        tensor = CascadedChannelTensor(a)
+        a[0, 0] = 5.0
+        assert not np.shares_memory(tensor.entries, a)
+        assert tensor.entries[0, 0] == 1.0
+        assert not tensor.entries.flags.writeable
+
+    @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a[:, :3].T],
+                             ids=["strided", "transposed"])
+    def test_read_only_non_contiguous_is_copied(self, view):
+        a = view(np.arange(18, dtype=np.complex128).reshape(3, 6))
+        a.flags.writeable = False
+        tensor = CascadedChannelTensor(a)
+        assert not np.shares_memory(tensor.entries, a)
+        assert tensor.entries.flags.c_contiguous
+        assert np.array_equal(tensor.entries, a)
+
+
 class TestChainEvaluator:
     def test_all_ones_single_element(self):
         g = LinkChannelGraph(

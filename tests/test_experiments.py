@@ -731,6 +731,9 @@ class TestCli:
         (["compare", "--t-rule", "fixed:100000000000000000000", "--methods", "csm", "-N", "4"],
          "t_rule fixed:100000000000000000000 gives T=1e+20 samples per surface at N=4, "
          "above the cap of 1e+09"),
+        (["compare", "--budget-per-surface", "1000000000000", "--methods", "random", "-N", "4"],
+         "budget_per_surface 1000000000000 gives 2000000000000 probes on 2 surfaces, "
+         "above the cap of 1e+09"),
         (["scaling", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["lemma-check", "--seed", "-2"], "seed must be non-negative, got -2"),
         (["conditions", "--seed", "-1"], "seed must be non-negative, got -1"),
@@ -761,7 +764,8 @@ class TestCli:
             "compare-budget-0-random", "compare-budget-0-virtual", "compare-t-rule-nan",
             "scaling-t-rule-inf", "lemma-threads-0", "lemma-threads-neg",
             "scaling-level-count", "lemma-levels-1", "compare-t-rule-overflow",
-            "scaling-t-rule-above-cap", "compare-fixed-above-cap", "scaling-seed-neg",
+            "scaling-t-rule-above-cap", "compare-fixed-above-cap", "compare-budget-above-cap",
+            "scaling-seed-neg",
             "lemma-seed-neg", "conditions-seed-neg", "examples-beta-0", "examples-beta-nan",
             "examples-beta-inf", "examples-growth-tol-neg", "compare-methods-repeat",
             "scaling-n-sweep-repeat", "scaling-n-sweep-0", "conditions-eta-repeat",

@@ -1,7 +1,8 @@
 """Property tests for the array kernels against per-entry reference oracles:
 tensor expansion, the link-graph stage coefficients, the dense contraction,
 CSM grouping, the CSM decision on exact means, the phase lookup table, the
-leakage sums, the D3 margin thresholds and the blocked probe loop."""
+leakage sums, the D3 margin thresholds, the blocked probe loops and the
+in-place phase fill."""
 
 import tracemalloc
 
@@ -22,6 +23,8 @@ from blindbeam import (
     csm_decide,
     expand_links_to_tensor,
     generate_samples,
+    make_d_instance,
+    random_beamforming,
     sequential_csm,
     stage_coefficients,
     virtual_single_irs,
@@ -30,8 +33,12 @@ from blindbeam import beamforming
 from blindbeam.channel import effective_batch
 from blindbeam.beamforming import _GroupSums
 from blindbeam.conditions import RankOneFactors, _d3_scan, _leakage_sums, leakage_abs_sum
+from blindbeam.experiments import default_scenario_path, realize_scenario
+from blindbeam.fixtures import _unit_phases
+from blindbeam.scenario import load_scenario
 from conftest import (UNIT_POWER, IndexSetSpec, brute_force_gain, d3_scan_oracle,
-                      expand_links_oracle, random_graph, random_tensor, unblocked_csm_means)
+                      expand_links_oracle, random_graph, random_tensor, unblocked_csm_means,
+                      unblocked_random_beamforming)
 
 kernel_settings = settings(deadline=None, max_examples=60)
 seeds = st.integers(0, 2**32 - 1)
@@ -298,7 +305,9 @@ def test_blocked_csm_means_match_unblocked_oracle(kind, k, noise_draws, block, m
         graph, grids = random_graph(rng, 2, width // 2), as_grids(grid, 2)
         evaluate = lambda idx: effective_batch(graph, grids, np.split(idx, 2, axis=1))
     rows = beamforming._BLOCK // width
-    assert beamforming._CHUNK % rows and PROBES % rows
+    # the last block of each chunk is partial, and a noiseless run (one
+    # block per chunk) spans several blocks
+    assert beamforming._CHUNK % rows and PROBES % rows and PROBES > rows
     got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
     got = beamforming._csm_means(width, grid, PROBES, evaluate, NOISY, noise_draws, got_rng)
     want = unblocked_csm_means(width, grid, PROBES, evaluate, NOISY, noise_draws, want_rng)
@@ -323,14 +332,74 @@ def test_blocked_optimizers_decide_as_unblocked_oracle(optimizer, make_channel, 
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sequential_csm_traced_peak_is_bounded():
     # one whole-chunk stage at N=1024, T=20,480 built four (T, N) temporaries,
     # a 480 MiB traced peak; compute blocks bound them by _BLOCK entries
     channel = random_tensor(np.random.default_rng(0), 2, 1024)
-    tracemalloc.start()
-    try:
-        sequential_csm(channel, 4, 20_480, UNIT_POWER, 0, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: sequential_csm(channel, 4, 20_480, UNIT_POWER, 0,
+                                                  np.random.default_rng(1)))
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["block-default", "block-1000"])
+@pytest.mark.parametrize("noise_draws", [0, 2])
+@pytest.mark.parametrize("levels", [4, 300, [4, 300]], ids=["k4", "k300", "k-mixed"])
+@pytest.mark.parametrize("make_channel", [random_tensor, random_graph])
+def test_blocked_random_search_matches_unblocked_oracle(make_channel, levels, noise_draws,
+                                                        block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(beamforming, "_BLOCK", block)
+    channel, grids = make_channel(np.random.default_rng(3), 2, 3), as_grids(levels, 2)
+    rows = beamforming._BLOCK // (2 * 3)
+    assert beamforming._CHUNK % rows and PROBES % rows
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = random_beamforming(channel, grids, PROBES, NOISY, noise_draws, got_rng)
+    want = unblocked_random_beamforming(channel, grids, PROBES, NOISY, noise_draws, want_rng)
+    assert got.evaluations == want.evaluations == PROBES
+    for a, b in zip(got.assignment.indices, want.assignment.indices, strict=True):
+        assert np.array_equal(a, b)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_random_search_traced_peak_is_bounded():
+    # whole-chunk draws on the corridor at N=4096, budget 2,000, built L
+    # (rows, N) int64 index arrays and their complex factors, a 375 MiB
+    # traced peak; block evaluation leaves the compact index buffers
+    scenario = load_scenario(default_scenario_path())
+    graph, grids, params = realize_scenario(scenario, seed=0, trial=0, num_elements=4096)
+    _, peak = _traced_peak(lambda: random_beamforming(graph, grids, 2000, params, 0,
+                                                      np.random.default_rng(1)))
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_dense_builders_traced_peak_is_one_tensor_and_a_block():
+    # a full-size uniform draw with its complex temporaries, the outer
+    # product, and the tensor constructor's copy of the fresh array once
+    # peaked at 2.19 (make_d_instance) and 2.13 (expansion) tensors
+    graph = random_graph(np.random.default_rng(0), 2, 1000)
+    for build in (lambda: make_d_instance(2, 1000, 4, np.random.default_rng(0)).tensor,
+                  lambda: expand_links_to_tensor(graph)):
+        tensor, peak = _traced_peak(build)
+        assert peak < 1.5 * tensor.entries.nbytes, (
+            f"traced peak {peak / tensor.entries.nbytes:.2f} tensors")
+
+
+@pytest.mark.parametrize("shape", [5, (9,), (7, 7), (4, 5, 6), (65,) * 3],
+                         ids=["int", "1-d", "odd", "3-axes", "L3-two-blocks"])
+def test_unit_phases_match_one_draw(shape):
+    # 65**3 entries pass one _BLOCK boundary
+    got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+    got = _unit_phases(got_rng, shape)
+    want = np.exp(2j * np.pi * want_rng.random(shape))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
