@@ -42,7 +42,9 @@ class RankOneFactors:
 
     Gauge convention: vectors[0..L-2] each start with a real nonnegative
     entry; vectors[L-1] absorbs the accumulated phase.  Only phases are
-    gauged, so factor magnitudes are whatever the caller supplied.
+    gauged.  A block fixes only the product of the per-surface gains, so
+    factors recovered from it carry the SVD's normalization: unit-norm
+    vectors before the last, which takes the block's scale.
     """
 
     vectors: tuple[np.ndarray, ...]
@@ -97,10 +99,6 @@ class RankOneFactors:
             out = np.multiply.outer(out, v)
         return out
 
-    def mean_gains(self) -> tuple[float, ...]:
-        """Per-surface mean element gain (1/N) * sum |u[n]|."""
-        return tuple(float(np.mean(np.abs(v))) for v in self.vectors)
-
     def coherent_sums(self) -> np.ndarray:
         return np.array([np.abs(v.sum()) for v in self.vectors])
 
@@ -117,34 +115,31 @@ class RankOneCheck:
     reason: Optional[str] = None
 
 
-def check_rank_one(matrix, tol: float = DEFAULT_TOL) -> RankOneCheck:
-    """Test whether an (N, N) coefficient block is an outer product with all
-    entries nonzero; on success return the gauge-fixed factors.
+def check_rank_one(block) -> RankOneCheck:
+    """Test whether an all-active block of shape (N,) * L, L >= 2, is an
+    outer product of per-surface vectors with every entry nonzero.  This is
+    the one rank-one rule of C1, C'1 and D1.
 
-    Rank is judged by the singular value ratio s2/s1 <= tol; entries of a
-    recovered factor count as zero below tol times the vector's peak.
+    Rank is judged by the worst peeled singular value ratio s2/s1 <=
+    DEFAULT_TOL; a factor entry counts as zero at or below DEFAULT_TOL times
+    its vector's peak magnitude.  The recovered, gauge-fixed factors come back
+    whenever the block is not numerically zero, even when the check fails.
     """
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    factors, residual, ratio = recover_full_path_factors(m)
+    b = np.asarray(block, dtype=np.complex128)
+    if b.ndim < 2 or len(set(b.shape)) != 1:
+        raise ValueError("expected an all-active block of shape (N,) * L with L >= 2")
+    factors, residual, ratio = recover_full_path_factors(b)
     if factors is None:
-        return RankOneCheck(False, None, math.inf, math.inf, "zero matrix")
-    if ratio > tol:
+        return RankOneCheck(False, None, ratio, residual, "all-active block is numerically zero")
+    if ratio > DEFAULT_TOL:
         return RankOneCheck(False, factors, ratio, residual,
-                            f"singular value ratio {ratio:.3e} above {tol:.1e}")
-    zero = _zero_entry(factors, tol)
-    return RankOneCheck(zero is None, factors, ratio, residual, zero)
-
-
-def _zero_entry(factors: RankOneFactors, tol: float) -> Optional[str]:
-    """'factor i entry n is zero' for the first factor entry at or below tol
-    times its vector's peak magnitude, or None when there is none."""
+                            f"singular value ratio {ratio:.3e} above {DEFAULT_TOL:.1e}")
     for which, v in enumerate(factors.vectors):
         mags = np.abs(v)
-        if mags.min() <= tol * mags.max():
-            return f"factor {which + 1} entry {int(np.argmin(mags)) + 1} is zero"
-    return None
+        if mags.min() <= DEFAULT_TOL * mags.max():
+            return RankOneCheck(False, factors, ratio, residual,
+                                f"factor {which + 1} entry {int(np.argmin(mags)) + 1} is zero")
+    return RankOneCheck(True, factors, ratio, residual)
 
 
 def recover_full_path_factors(block: np.ndarray):
@@ -202,15 +197,15 @@ class ConditionReport:
     subconditions maps short labels to booleans; the overall verdict is their
     conjunction.  gamma_min is the smallest workable margin angle in radians
     (None when infeasible), gamma_upper the exclusive upper end of the valid
-    range.  delta holds per-surface mean element gains when factors are
-    known.  margins carry signed slack diagnostics (positive = satisfied).
+    range.  margins carry signed slack diagnostics (positive = satisfied);
+    notes carry remarks, among them the reason a rank-one subcondition fails.
+    Every report is computed from the tensor and the grids alone.
     """
 
     condition_set: str
     subconditions: dict
     gamma_min: Optional[float] = None
     gamma_upper: Optional[float] = None
-    delta: Optional[tuple] = None
     margins: dict = field(default_factory=dict)
     notes: tuple = ()
 
@@ -248,15 +243,14 @@ def gamma_min_double(tensor: CascadedChannelTensor):
     return float(np.arcsin(ratios.max())), ratios
 
 
-def check_c_conditions(tensor: CascadedChannelTensor, grids,
-                       tol: float = DEFAULT_TOL) -> ConditionReport:
+def check_c_conditions(tensor: CascadedChannelTensor, grids) -> ConditionReport:
     """C1..C3 for a double-surface system."""
     t = _require_tensor(tensor)
     if t.num_surfaces != 2:
         raise ValueError("C conditions apply to exactly two surfaces")
     grids = as_grids(grids, 2)
     k1, k2 = grids[0].num_levels, grids[1].num_levels
-    rank = check_rank_one(t.entries[1:, 1:], tol)
+    rank = check_rank_one(t.entries[1:, 1:])
     c2 = k1 >= 3 and k2 >= 3
     gamma_upper = math.pi / 2 - math.pi / k1
     gamma_min, _ratios = gamma_min_double(t)
@@ -272,7 +266,6 @@ def check_c_conditions(tensor: CascadedChannelTensor, grids,
         subconditions={"c1": rank.passed, "c2": c2, "c3": c3},
         gamma_min=gamma_min,
         gamma_upper=gamma_upper,
-        delta=None if rank.factors is None else rank.factors.mean_gains(),
         margins=margins,
         notes=notes,
     )
@@ -309,7 +302,6 @@ def check_cprime(tensor: CascadedChannelTensor, grids, zero_tol: float = 0.0,
         subconditions={"c'1": rank.passed, "c'2": bool(continuous), "c'3": cp3},
         gamma_min=0.0 if cp3 else None,
         gamma_upper=None,
-        delta=None if rank.factors is None else rank.factors.mean_gains(),
         margins={
             "c'1_singular_ratio": rank.singular_ratio,
             "c'3_slack": zero_tol - worst_leak,
@@ -395,81 +387,56 @@ def _d3_scan(tensor: CascadedChannelTensor, factors: RankOneFactors, grids,
     return first is not None, first, gamma_upper, float(slack.max())
 
 
-def check_d_conditions(tensor: CascadedChannelTensor, grids,
-                       factors: Optional[RankOneFactors] = None,
-                       tol: float = DEFAULT_TOL,
-                       gamma_points: int = DEFAULT_GAMMA_POINTS) -> ConditionReport:
-    """D1..D3 for a system of L >= 2 surfaces.
+def check_d_conditions(tensor: CascadedChannelTensor, grids) -> ConditionReport:
+    """D1..D3 for a system of L >= 2 surfaces, read from the tensor alone.
 
-    D1: the all-active coefficient block factors into per-surface vectors
-        with every entry nonzero (factors are recovered when not supplied).
+    D1: check_rank_one of the all-active block: it factors into per-surface
+        vectors with every entry nonzero.
     D2: the last grid has >= 3 levels and sum_{ell<L} 1/K_ell < 1/2.
     D3: some margin angle gamma in [0, gamma_upper) satisfies the leakage
-        inequality for every (surface < L, element), tested at gamma_points
-        angles by one gain threshold per surface (_d3_scan).
+        inequality for every (surface < L, element), tested on the recovered
+        factors at DEFAULT_GAMMA_POINTS angles by one gain threshold per
+        surface (_d3_scan).  The inequality is invariant under rescaling the
+        factors at a fixed product, so their normalization does not matter.
     """
     t = _require_tensor(tensor)
-    L, n = dims(t)
+    L = t.num_surfaces
     if L < 2:
         raise ValueError("the multi-surface conditions need at least two surfaces")
     grids = as_grids(grids, L)
-    block = t.entries[(slice(1, None),) * L]
-    notes = []
-    if factors is None:
-        factors, residual, ratio = recover_full_path_factors(block)
-        if factors is None:
-            notes.append("d1: all-active block is numerically zero")
-    else:
-        if factors.num_surfaces != L or factors.num_elements != n:
-            raise ValueError("factor dimensions do not match the tensor")
-        scale = float(np.abs(block).max())
-        residual = (math.inf if scale == 0.0 else
-                    float(np.abs(block - factors.outer_product()).max() / scale))
-        ratio = 0.0
-    zero = None if factors is None else _zero_entry(factors, tol)
-    if zero is not None:
-        notes.append(f"d1: {zero}")
-    d1 = factors is not None and residual <= tol and zero is None
-    budget = margin_budget(grids)
-    d2 = _d2_holds(grids)
-    d3, gamma_min, gamma_upper, best_slack = ((False, None, None, -math.inf) if factors is None
-                                              else _d3_scan(t, factors, grids, gamma_points))
+    rank = check_rank_one(t.entries[(slice(1, None),) * L])
+    d3, gamma_min, gamma_upper, best_slack = (
+        (False, None, None, -math.inf) if rank.factors is None
+        else _d3_scan(t, rank.factors, grids, DEFAULT_GAMMA_POINTS))
     return ConditionReport(
         condition_set="D",
-        subconditions={"d1": d1, "d2": d2, "d3": d3},
+        subconditions={"d1": rank.passed, "d2": _d2_holds(grids), "d3": d3},
         gamma_min=gamma_min,
         gamma_upper=gamma_upper,
-        delta=None if factors is None else factors.mean_gains(),
         margins={
-            "d1_residual": residual,
-            "d1_singular_ratio": ratio,
-            "d2_budget": budget,
+            "d1_residual": rank.residual_rel,
+            "d1_singular_ratio": rank.singular_ratio,
+            "d2_budget": margin_budget(grids),
             "d2_last_levels": float(grids[-1].num_levels - 3),
             "d3_best_slack": best_slack,
         },
-        notes=tuple(notes),
+        notes=() if rank.reason is None else (f"d1: {rank.reason}",),
     )
 
 
-def theta_hat_star_all(channel: Channel, factors: RankOneFactors,
-                       decided: PhaseAssignment, ell: int) -> np.ndarray:
+def theta_hat_star_all(channel: Channel, decided: PhaseAssignment, ell: int) -> np.ndarray:
     """Ideal aligning phases of every element of surface ell, given the
     decisions already made for surfaces before it (later surfaces at phase 0).
 
-    For element n the target is
-
-        angle(S0) - angle(u_ell[n]) - angle(E_n / u_ell[n])
-
-    where S0 aggregates every path skipping surface ell and E_n aggregates
-    the all-active paths through element n.  Zero aggregates take angle 0,
-    matching the deciders' convention.
+    For element n the target is wrap(angle(S0) - angle(E_n)), where S0
+    aggregates every path skipping surface ell and E_n aggregates the
+    all-active paths through element n; both come from the tensor alone.  A
+    zero S0 takes angle 0, matching the deciders' convention.
     """
     t = _require_tensor(channel)
     L, n = dims(t)
     if not (0 <= ell < L):
         raise ValueError(f"surface index {ell} out of range")
-    if factors.num_surfaces != L or factors.num_elements != n:
-        raise ValueError("factor dimensions do not match the channel")
     # earlier surfaces at their decisions, later ones at phase 0
     rows = [(decided.factors_with_skip(i) if i < ell
              else np.ones(n + 1, dtype=np.complex128))[None, :] for i in range(L)]
@@ -484,9 +451,7 @@ def theta_hat_star_all(channel: Channel, factors: RankOneFactors,
             f"all-active aggregate of surface {ell + 1}, element {bad + 1} is "
             "zero; the ideal phase is undefined there"
         )
-    u = factors.vectors[ell]
-    target = (np.angle(s0) - np.angle(u) - np.angle(e_by_element / u))
-    return wrap_angle(target)
+    return wrap_angle(np.angle(s0) - np.angle(e_by_element))
 
 
 @dataclass(frozen=True)
@@ -503,13 +468,12 @@ class Lemma1Report:
     violations: tuple
 
 
-def lemma1_verify(channel: Channel, factors: RankOneFactors, grids,
-                  assignment: PhaseAssignment, gamma: float,
+def lemma1_verify(channel: Channel, grids, assignment: PhaseAssignment, gamma: float,
                   slack: float = 1e-9) -> Lemma1Report:
     """Check that every decided phase lies within gamma + pi/K_ell of its
     ideal target, replaying the sequential decision state surface by surface."""
     t = _require_tensor(channel)
-    L, n = dims(t)
+    L = t.num_surfaces
     grids = as_grids(grids, L)
     if not (0.0 <= gamma):
         raise ValueError("gamma must be nonnegative")
@@ -517,7 +481,7 @@ def lemma1_verify(channel: Channel, factors: RankOneFactors, grids,
     violations = []
     worst = 0.0
     for ell in range(L):
-        targets = theta_hat_star_all(t, factors, assignment, ell)
+        targets = theta_hat_star_all(t, assignment, ell)
         decided = assignment.phase_values(ell)
         dev = np.abs(wrap_angle(decided - targets))
         bound = gamma + math.pi / grids[ell].num_levels

@@ -498,7 +498,11 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
                             f"{method} N={n}: surface {ell + 1} decisions "
                             f"{got.tolist()} != expected {want.tolist()}"
                         )
-                power = received_power(effective_channel(fx.tensor, res.assignment), params)
+                with np.errstate(over="ignore"):  # an overflowed power is refused below
+                    power = received_power(effective_channel(fx.tensor, res.assignment), params)
+                if not 0.0 < power < np.inf:
+                    raise ConfigError(f"beta {beta:g} takes the {method} power at N={n} "
+                                      f"out of the float range (got {power:g})")
                 powers.append(power)
                 records.append(_record("examples", seed, 0, method, fx.grids, n, 0,
                                        "power_watts", power))
@@ -539,10 +543,9 @@ def run_lemma_check(config: ExperimentConfig) -> ExperimentResult:
         inst = make_d_instance(L, n, grids, derive_rng(seed, trial, TAG_CHANNEL),
                                margin=margin)
         # a single surface has no leakage paths, so no margin angle is needed
-        gamma = (check_d_conditions(inst.tensor, grids, factors=inst.factors).gamma_min
-                 if L >= 2 else 0.0)
+        gamma = check_d_conditions(inst.tensor, grids).gamma_min if L >= 2 else 0.0
         res = sequential_cpp_oracle(inst.tensor, grids)
-        rep = lemma1_verify(inst.tensor, inst.factors, grids, res.assignment, gamma)
+        rep = lemma1_verify(inst.tensor, grids, res.assignment, gamma)
         record = _record("lemma-check", seed, trial, "cpp", grids, n, 0, "deviation_rad",
                          rep.max_deviation)
         return record, rep.all_ok, rep.violations

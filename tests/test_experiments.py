@@ -740,6 +740,10 @@ class TestCli:
         (["examples", "--beta", "0"], "beta must be positive, got 0.0"),
         (["examples", "--beta", "nan"], "config key 'beta' must be a finite number, got 'nan'"),
         (["examples", "--beta", "inf"], "config key 'beta' must be a finite number, got 'inf'"),
+        (["examples", "--n-sweep", "3,5", "--beta", "1e-300"],
+         "beta 1e-300 takes the example1_bad power at N=3 out of the float range (got 0)"),
+        (["examples", "--n-sweep", "3,5", "--beta", "1e300"],
+         "beta 1e+300 takes the example1_bad power at N=3 out of the float range (got inf)"),
         (["examples", "--growth-rel-tol", "-1"], "growth_rel_tol must be positive, got -1.0"),
         (["compare", "--methods", "csm,csm"], "methods lists 'csm' twice"),
         (["scaling", "--n-sweep", "8,8,16,32"], "n_sweep lists 8 twice"),
@@ -767,7 +771,8 @@ class TestCli:
             "scaling-t-rule-above-cap", "compare-fixed-above-cap", "compare-budget-above-cap",
             "scaling-seed-neg",
             "lemma-seed-neg", "conditions-seed-neg", "examples-beta-0", "examples-beta-nan",
-            "examples-beta-inf", "examples-growth-tol-neg", "compare-methods-repeat",
+            "examples-beta-inf", "examples-beta-underflow", "examples-beta-overflow",
+            "examples-growth-tol-neg", "compare-methods-repeat",
             "scaling-n-sweep-repeat", "scaling-n-sweep-0", "conditions-eta-repeat",
             "conditions-eta-label-repeat",
             "examples-n-sweep-order", "examples-n-sweep-repeat", "scaling-dense-cap",
