@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    _BLOCK,
     Channel,
     RadioParams,
     dims,
@@ -38,10 +39,6 @@ from .phases import PhaseAssignment, PhaseGrid, as_grids, wrap_angle
 # Probes per measurement chunk: each chunk draws its noise in one call, after
 # all its phase indices, so this is the noise boundary of every RNG stream.
 _CHUNK = 1 << 16
-# Entries (rows x width) per compute block within a chunk.  It bounds every
-# (rows, width) temporary of the draw, the gain evaluation and the binning;
-# picked by a sweep from 2**16 to 2**22 (see CHANGES.md).
-_BLOCK = 1 << 18
 
 
 class EmptyGroupError(ValueError):

@@ -30,6 +30,10 @@ from .phases import PhaseAssignment
 
 # Dense tensors get big fast: (N+1)^L complex entries.
 MAX_TENSOR_ENTRIES = 10**7
+# Entries per compute block: it bounds every temporary of the probe loops,
+# the in-place phase fill and the tensor's finite check.  The 2**15 to 2**18
+# sweep behind it is recorded in CHANGES.md.
+_BLOCK = 1 << 16
 
 
 def _check_tensor_size(num_surfaces: int, num_elements: int, error=ValueError):
@@ -77,7 +81,8 @@ class CascadedChannelTensor:
         if any(s != shape[0] for s in shape) or shape[0] < 2:
             raise ValueError(f"tensor axes must all equal N+1 >= 2, got shape {shape}")
         _check_tensor_size(a.ndim, shape[0] - 1)
-        if not np.all(np.isfinite(a.view(np.float64))):
+        flat = a.reshape(-1)
+        if not all(np.isfinite(flat[b:b + _BLOCK]).all() for b in range(0, flat.size, _BLOCK)):
             raise ValueError("tensor entries must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
@@ -279,18 +284,20 @@ def contract(entries: np.ndarray, rows, keep=None) -> np.ndarray:
     """Contract a dense array against one weight row per axis, for B rows
     at once.
 
-    rows[i] is a (B, d_i) weight array for axis i.  Axes are contracted from
-    the highest down, so lower axis positions stay put, and axis `keep` is
-    left open.  Returns (B,) without `keep` and (B, d_keep) with it (B is 1
-    when `keep` is the only axis).  This is the dense twin of _forward.
+    rows[i] is a (B, d_i) weight array for axis i.  Axis `keep` is left
+    open; the axes after it are contracted from the last one in and the
+    axes before it from the first one in, so no reshape copies the array.
+    Returns (B,) without `keep` and (B, d_keep) with it (B is 1 when `keep`
+    is the only axis).  This is the dense twin of _forward.
     """
+    first = 0 if keep is None else keep + 1
     g = entries[None]
-    for i in range(entries.ndim - 1, -1, -1):
-        if i == keep:
-            continue
-        g = np.moveaxis(g, i + 1, -1)
+    for i in range(entries.ndim - 1, first - 1, -1):
         rest = g.shape[1:-1]
         g = (g.reshape(g.shape[0], -1, g.shape[-1]) @ rows[i][:, :, None]).reshape((-1,) + rest)
+    for i in range(first - 1):
+        rest = g.shape[2:]
+        g = (rows[i][:, None, :] @ g.reshape(g.shape[:2] + (-1,))).reshape((-1,) + rest)
     return g
 
 

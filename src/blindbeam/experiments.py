@@ -472,7 +472,8 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
     """Check the constructed example channels end to end.
 
     For every example and variant: the perfect-knowledge sequential optimizer
-    must reproduce the documented decisions at every listed N, and the
+    must reproduce the decisions build_example states (a report line names
+    the examples it states none for) at every listed N, and the
     received-power growth between consecutive N must match the variant's
     order (quadratic for "bad", quartic for "good") within the tolerance.
     """
@@ -483,6 +484,7 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
     records = []
     report = []
     failures = []
+    unchecked = []
     for example_id in (1, 2, 3):
         for variant in ("bad", "good"):
             method = f"example{example_id}_{variant}"
@@ -490,9 +492,8 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
             for n in n_list:
                 fx = build_example(example_id, variant, n, beta)
                 res = sequential_cpp_oracle(fx.tensor, fx.grids)
-                for ell in range(2):
+                for ell, want in enumerate(fx.expected_indices or ()):
                     got = res.assignment.indices[ell]
-                    want = fx.expected_indices[ell]
                     if not np.array_equal(got, want):
                         failures.append(
                             f"{method} N={n}: surface {ell + 1} decisions "
@@ -506,6 +507,8 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
                 powers.append(power)
                 records.append(_record("examples", seed, 0, method, fx.grids, n, 0,
                                        "power_watts", power))
+            if fx.expected_indices is None:
+                unchecked.append(method)
             exponent = 2 if variant == "bad" else 4
             for (n1, p1), (n2, p2) in zip(zip(n_list, powers), zip(n_list[1:], powers[1:])):
                 expected = (n2 / n1) ** exponent
@@ -522,6 +525,8 @@ def run_examples(config: ExperimentConfig) -> ExperimentResult:
     decisions_line = ("decisions: all as documented" if not any("decisions" in f for f in failures)
                       else "decisions: MISMATCHES found")
     report.append(decisions_line)
+    if unchecked:
+        report.append(f"decisions: not checked for {' '.join(unchecked)} (stated at beta=1 only)")
     summary = [f"# examples,{line.replace(' ', ',')}" for line in report]
     return ExperimentResult(records, summary, report, failures)
 

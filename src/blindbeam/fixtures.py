@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import _BLOCK
-from .channel import CascadedChannelTensor, _check_tensor_size
+from .channel import _BLOCK, CascadedChannelTensor, _check_tensor_size
 from .conditions import RankOneFactors, _d2_holds, margin_budget, margin_rhs
 from .phases import PhaseGrid, as_grids
 
@@ -31,16 +30,16 @@ class ExampleFixture:
     """A constructed double-surface channel with its known optimum.
 
     expected_indices holds the per-surface phase decisions (grid indices)
-    that a perfect-knowledge sequential optimizer makes, valid at the default
-    coefficient scale beta = 1.  boost_exponent is the growth order of the
-    received power in N: 2 for the "bad" variants, 4 for the "good" ones.
+    that a perfect-knowledge sequential optimizer makes, None where
+    build_example does not state them.  boost_exponent is the growth order of
+    the received power in N: 2 for the "bad" variants, 4 for the "good" ones.
     """
 
     example_id: int
     variant: str
     tensor: CascadedChannelTensor
     grids: tuple[PhaseGrid, ...]
-    expected_indices: tuple[np.ndarray, np.ndarray]
+    expected_indices: Optional[tuple[np.ndarray, np.ndarray]]
     boost_exponent: int
     note: str = ""
 
@@ -56,9 +55,9 @@ def build_example(example_id: int, variant: str, num_elements: int,
     """Construct one of the numbered double-surface example channels.
 
     num_elements must be odd and >= 3; beta > 0 scales the coefficients.
-    The stated expected decisions are exact for beta = 1 (and for any beta in
-    example 1); the parity-mixed cases shift some rounding boundaries when
-    beta strays far from 1.
+    The expected decisions are stated for any beta in example 1 and for
+    beta = 1 only in examples 2 and 3, whose parity-mixed cases shift some
+    rounding boundaries as beta moves (expected_indices is None there).
     """
     if example_id not in EXAMPLE_IDS:
         raise ValueError(f"example_id must be one of {EXAMPLE_IDS}")
@@ -121,6 +120,8 @@ def build_example(example_id: int, variant: str, num_elements: int,
             entries[1:, 1:] = beta
             expected = (idx["zero"], np.full(n, 1, dtype=np.int64))
             note = "constant two-hop rows outweigh the same one-hop leakage"
+    if example_id != 1 and beta != 1:
+        expected = None
     entries.flags.writeable = False
     return ExampleFixture(example_id, variant, CascadedChannelTensor(entries),
                           grids, expected, 2 if variant == "bad" else 4, note)

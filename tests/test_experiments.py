@@ -615,6 +615,33 @@ class TestCli:
             assert err.startswith("output error: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("beta", ["0.5", "0.8", "2"])
+    def test_examples_check_decisions_only_where_stated(self, tmp_path, beta, capsys):
+        # examples 2 and 3 state their decisions at beta = 1 only; at 0.5 and
+        # 0.8 example 2's binary-grid variant decides differently
+        assert main(["examples", "--beta", beta, "--out", str(tmp_path / "r.csv")]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert "decisions: all as documented" in report
+        assert ("decisions: not checked for example2_bad example2_good example3_bad "
+                "example3_good (stated at beta=1 only)") in report
+        assert not any("FAIL" in line for line in report)
+
+    def test_examples_beta_one_csv_is_unchanged(self, tmp_path, capsys):
+        default, one = tmp_path / "default.csv", tmp_path / "one.csv"
+        assert main(["examples", "--out", str(default)]) == 0
+        assert main(["examples", "--beta", "1", "--out", str(one)]) == 0
+        capsys.readouterr()
+        assert one.read_bytes() == default.read_bytes()
+        assert [line for line in one.read_text().splitlines() if line.startswith("#")] == [
+            "# examples,example1_bad,N=9->19:,power,x4.213,(order-2,reference,x4.457),ok",
+            "# examples,example1_good,N=9->19:,power,x19.863,(order-4,reference,x19.863),ok",
+            "# examples,example2_bad,N=9->19:,power,x4.344,(order-2,reference,x4.457),ok",
+            "# examples,example2_good,N=9->19:,power,x19.333,(order-4,reference,x19.863),ok",
+            "# examples,example3_bad,N=9->19:,power,x4.457,(order-2,reference,x4.457),ok",
+            "# examples,example3_good,N=9->19:,power,x16.243,(order-4,reference,x19.863),ok",
+            "# examples,decisions:,all,as,documented",
+        ]
+
     def test_runner_failure_exits_one(self, capsys):
         rc = main(["examples", "--n-sweep", "3,5", "--growth-rel-tol", "1e-9"])
         assert rc == 1

@@ -30,7 +30,7 @@ from blindbeam import (
     virtual_single_irs,
 )
 from blindbeam import beamforming
-from blindbeam.channel import effective_batch
+from blindbeam.channel import _BLOCK, contract, effective_batch
 from blindbeam.beamforming import _GroupSums
 from blindbeam.conditions import RankOneFactors, _d3_scan, _leakage_sums, leakage_abs_sum
 from blindbeam.experiments import default_scenario_path, realize_scenario
@@ -138,6 +138,39 @@ def test_dense_contraction_matches_path_sums(levels, n, seed):
             assert np.allclose(np.concatenate(([c0], c)),
                                _stage_oracle(tensor.entries, phases, ell),
                                rtol=1e-12, atol=atol)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("L, keep", [(L, keep) for L in range(1, 5)
+                                     for keep in [None, *range(L)]])
+def test_contract_matches_einsum(L, keep, batch):
+    """contract against np.einsum on axes of unequal lengths, within 1e-12
+    of the same contraction on magnitudes, which bounds its rounding."""
+    rng = np.random.default_rng(10 * L + batch)
+    shape = tuple(range(2, 2 + L))
+    entries = _complex(rng, shape)
+    rows = [_complex(rng, (batch, d)) for d in shape]
+    axes = "abcd"[:L]
+    used = [i for i in range(L) if i != keep]
+    out = "z" + ("" if keep is None else axes[keep]) if used else axes
+    spec = ",".join([axes] + ["z" + axes[i] for i in used]) + "->" + out
+    want = np.einsum(spec, entries, *[rows[i] for i in used])
+    bound = np.einsum(spec, np.abs(entries), *[np.abs(rows[i]) for i in used])
+    got = contract(entries, rows, keep)
+    if not used:
+        want, bound = want[None], bound[None]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
+
+def test_contract_keeping_the_last_axis_copies_no_tensor():
+    # moving the kept axis last before each reshape once copied the whole
+    # tensor at L >= 3: a 1.005-tensor traced peak at L=3, N=200, keep=2
+    entries = np.zeros((201,) * 3, dtype=complex)
+    rows = [np.ones((1, 201), dtype=complex)] * 3
+    for keep in (None, 0, 1, 2):
+        _, peak = _traced_peak(lambda: contract(entries, rows, keep))
+        assert peak < 0.1 * entries.nbytes, f"keep={keep}: {peak / entries.nbytes:.3f} tensors"
 
 
 def _naive_grouping(chunks, num_elements, num_levels):
@@ -384,19 +417,39 @@ def test_random_search_traced_peak_is_bounded():
 def test_dense_builders_traced_peak_is_one_tensor_and_a_block():
     # a full-size uniform draw with its complex temporaries, the outer
     # product, and the tensor constructor's copy of the fresh array once
-    # peaked at 2.19 (make_d_instance) and 2.13 (expansion) tensors
+    # peaked at 2.19 (make_d_instance) and 2.13 (expansion) tensors; the
+    # constructor's one-pass finite check added 2 bytes per entry
     graph = random_graph(np.random.default_rng(0), 2, 1000)
+    frozen = np.ones((101,) * 3, dtype=complex)
+    frozen.flags.writeable = False
     for build in (lambda: make_d_instance(2, 1000, 4, np.random.default_rng(0)).tensor,
+                  lambda: make_d_instance(3, 100, 8, np.random.default_rng(0)).tensor,
                   lambda: expand_links_to_tensor(graph)):
         tensor, peak = _traced_peak(build)
         assert peak < 1.5 * tensor.entries.nbytes, (
             f"traced peak {peak / tensor.entries.nbytes:.2f} tensors")
+    # the constructor shares a frozen array, so it adds only the check's block
+    tensor, peak = _traced_peak(lambda: CascadedChannelTensor(frozen))
+    assert tensor.entries is frozen
+    assert peak < 0.05 * frozen.nbytes, f"traced peak {peak / frozen.nbytes:.2f} tensors"
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
+                                 complex(0, -np.inf)], ids=["nan-re", "nan-im", "inf-re", "inf-im"])
+def test_blocked_finite_check_sees_either_part_past_a_block_boundary(bad):
+    shape = (65,) * 3  # 274,625 entries: more than four blocks
+    assert np.prod(shape) > 4 * _BLOCK
+    for flat_index in (_BLOCK, 3 * _BLOCK + 7, np.prod(shape) - 1):
+        a = np.ones(shape, dtype=complex)
+        a.reshape(-1)[flat_index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CascadedChannelTensor(a)
 
 
 @pytest.mark.parametrize("shape", [5, (9,), (7, 7), (4, 5, 6), (65,) * 3],
                          ids=["int", "1-d", "odd", "3-axes", "L3-two-blocks"])
 def test_unit_phases_match_one_draw(shape):
-    # 65**3 entries pass one _BLOCK boundary
+    # 65**3 entries pass four _BLOCK boundaries
     got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
     got = _unit_phases(got_rng, shape)
     want = np.exp(2j * np.pi * want_rng.random(shape))
