@@ -12,11 +12,11 @@ means separate the contribution of each element, and picking the per-element
 argmax approaches the closest-point-projection (CPP) decision that perfect
 channel knowledge would make.
 
-Every optimizer returns its assignment and the number of power measurements
-it took (``BeamformingResult.evaluations``); the sequential scheme takes
-exactly samples_per_surface measurements per surface, L * T total.  The
-blind optimizers measure with noise_draws noisy draws per measurement (0 for
-noiseless, see ``received_power``) from the rng they are given.
+A blind optimizer sees the channel only through one _Probe, the power meter
+at the user terminal: it draws phase indices and measures received powers
+with noise_draws noisy draws each (0 for noiseless, see ``received_power``)
+from the given rng, and counts them.  ``BeamformingResult.evaluations`` is
+that count, L * T for the sequential scheme and 0 for the references.
 """
 
 from __future__ import annotations
@@ -130,67 +130,80 @@ def cpp_decide(c0: complex, c: np.ndarray, grid: PhaseGrid,
     return np.where(c == 0, 0, picks).astype(np.int64)
 
 
-def _sequential(channel: Channel, grids, decide) -> BeamformingResult:
+class _Probe:
+    """The power meter at the user terminal, a blind decision's one view of
+    the channel.  `evaluate(index_blocks) -> (rows,) complex` is the
+    simulated channel, set where the probe is built (per stage in
+    _sequential).  measure() evaluates one (rows, width) index block per grid
+    in row blocks of at most _BLOCK entries and measures every row in one
+    received_power call, which draws the noise (noise_draws draws a row)
+    after all the indices.  `count` adds up the powers measured."""
+
+    def __init__(self, params: RadioParams, noise_draws: int, rng, evaluate=None):
+        self.evaluate, self.count = evaluate, 0
+        self._params, self._noise_draws, self._rng = params, noise_draws, rng
+
+    def measure(self, index_blocks) -> np.ndarray:
+        step = max(1, _BLOCK // sum(d.shape[1] for d in index_blocks))
+        gains = np.concatenate([self.evaluate([d[b:b + step] for d in index_blocks])
+                                for b in range(0, len(index_blocks[0]), step)])
+        self.count += len(gains)
+        return received_power(gains, self._params, self._noise_draws, self._rng)
+
+    def measured_blocks(self, grids, width: int, total: int):
+        """Yield (index blocks, powers) for `total` uniform probes, in row
+        blocks of at most _BLOCK index entries.
+
+        Probes are drawn and measured a chunk at a time: each grid's (rows,
+        width) indices in turn, into one compact buffer per grid (uint8 when
+        K <= 256), then one measure() call, which draws the chunk's noise.  A
+        chunk holds _CHUNK probes when noise or another grid's draw follows
+        its indices, and one block otherwise.  The draw runs in row blocks; a
+        row-split draw returns the same indices as one draw, so the RNG stream
+        is that of drawing each chunk whole.
+        """
+        step = max(1, _BLOCK // (len(grids) * width))
+        chunk = _CHUNK if self._noise_draws or len(grids) > 1 else step
+        for start in range(0, total, chunk):
+            rows = min(chunk, total - start)
+            draws = [np.empty((rows, width), dtype=np.uint8 if g.num_levels <= 256 else np.int64)
+                     for g in grids]
+            for d, g in zip(draws, grids):
+                for b in range(0, rows, step):
+                    d[b:b + step] = generate_samples(width, g, len(d[b:b + step]), self._rng)
+            powers = self.measure(draws)
+            for b in range(0, rows, step):
+                yield [d[b:b + step] for d in draws], powers[b:b + step]
+
+
+def _sequential(channel: Channel, grids, decide, probe: _Probe | None = None) -> BeamformingResult:
     """Configure the surfaces one at a time, in increasing index order.
 
     Stage ell holds the earlier surfaces at their decisions and the later
-    ones at phase index 0, computes the stage coefficients (c0, c) of
-    surface ell, and applies decide(grid, c0, c) -> (indices, measurements),
-    which returns the surface's phase indices and the number of power
-    measurements it took.
+    ones at phase index 0, and decide(grid, view) -> indices configures
+    surface ell.  Without a probe the view is the stage coefficients
+    (c0, c); with one it is the probe, set to measure the stage channel, so
+    the decider sees powers only.
     """
     L, n = dims(channel)
     grids = as_grids(grids, L)
     phases = PhaseAssignment.zeros(grids, n)
-    evaluations = 0
     for ell in range(L):
         c0, c = stage_coefficients(channel, phases, ell)
-        indices, measurements = decide(grids[ell], c0, c)
-        phases = phases.with_stage(ell, indices)
-        evaluations += measurements
-    return BeamformingResult(phases, evaluations)
+        if probe is not None:
+            lut = grids[ell].factor_table()
+            probe.evaluate = lambda d: c0 + lut[d[0]] @ c
+        phases = phases.with_stage(ell, decide(grids[ell], (c0, c) if probe is None else probe))
+    return BeamformingResult(phases, 0 if probe is None else probe.count)
 
 
-def _measured_chunks(grids, width: int, total: int, evaluate, params: RadioParams,
-                     noise_draws: int, rng, chunk: int = _CHUNK):
-    """Yield (indices, powers) for `total` uniform probes, chunk by chunk.
-
-    A chunk of up to `chunk` probes draws each grid's (rows, width) indices
-    in turn, into one compact buffer per grid (uint8 when K <= 256), then
-    measures evaluate(index blocks) -> (rows,) complex in one received_power
-    call, which draws the chunk's noise.  The draw and the evaluation run in
-    blocks of at most _BLOCK index entries; a row-split draw returns the same
-    indices as one draw, so the RNG stream is that of drawing each chunk whole.
-    """
-    step = max(1, _BLOCK // (len(grids) * width))
-    for start in range(0, total, chunk):
-        rows = min(chunk, total - start)
-        draws = [np.empty((rows, width), dtype=np.uint8 if g.num_levels <= 256 else np.int64)
-                 for g in grids]
-        for d, g in zip(draws, grids):
-            for b in range(0, rows, step):
-                d[b:b + step] = generate_samples(width, g, len(d[b:b + step]), rng)
-        gains = np.concatenate([evaluate([d[b:b + step] for d in draws])
-                                for b in range(0, rows, step)])
-        yield draws, received_power(gains, params, noise_draws, rng)
-
-
-def _csm_means(width: int, grid: PhaseGrid, total: int, evaluate, params: RadioParams,
-               noise_draws: int, rng) -> np.ndarray:
+def _csm_means(width: int, grid: PhaseGrid, total: int, probe: _Probe) -> np.ndarray:
     """(width, K) conditional means of `total` uniform probes of `width`
-    elements on one grid, measured by _measured_chunks and binned in blocks
-    of at most _BLOCK entries.  A noisy chunk holds _CHUNK probes, as its
-    noise follows all its indices; a noiseless chunk is one block.  The
-    working set is one chunk's compact index buffer plus temporaries of at
-    most _BLOCK entries, and the means are those of whole _CHUNK chunks.
-    """
+    elements on one grid, binned block by block as probe.measured_blocks
+    yields them; they equal the means of whole _CHUNK chunks."""
     groups = _GroupSums(width, grid.num_levels)
-    step = max(1, _BLOCK // width)
-    for (idx,), powers in _measured_chunks((grid,), width, total, lambda d: evaluate(d[0]),
-                                           params, noise_draws, rng,
-                                           _CHUNK if noise_draws else step):
-        for b in range(0, len(idx), step):
-            groups.add(idx[b:b + step], powers[b:b + step])
+    for (idx,), powers in probe.measured_blocks((grid,), width, total):
+        groups.add(idx, powers)
     return groups.means()
 
 
@@ -205,18 +218,11 @@ def sequential_csm(channel: Channel, grids, samples_per_surface: int,
     conditional means.  Exactly L * samples_per_surface power measurements
     are taken and never materialized whole: the working set is one compact
     index buffer per chunk (_CHUNK probes when noisy, one block when
-    noiseless) plus temporaries of at most _BLOCK entries (see _csm_means).
+    noiseless) plus temporaries of at most _BLOCK entries (see _Probe).
     """
     n = dims(channel)[1]
-    t = samples_per_surface
-
-    def decide(grid, c0, c):
-        lut = grid.factor_table()
-        means = _csm_means(n, grid, t, lambda idx: c0 + lut[idx] @ c, params,
-                           noise_draws, rng)
-        return csm_decide(means), t
-
-    return _sequential(channel, grids, decide)
+    return _sequential(channel, grids, lambda grid, probe: csm_decide(
+        _csm_means(n, grid, samples_per_surface, probe)), _Probe(params, noise_draws, rng))
 
 
 def sequential_cpp_oracle(channel: Channel, grids) -> BeamformingResult:
@@ -227,7 +233,7 @@ def sequential_cpp_oracle(channel: Channel, grids) -> BeamformingResult:
     element n at stage ell is angle(c0) - angle(c_n) with the current earlier
     decisions applied; elements with a zero path coefficient stay at index 0.
     """
-    return _sequential(channel, grids, lambda grid, c0, c: (cpp_decide(c0, c, grid), 0))
+    return _sequential(channel, grids, lambda grid, stage: cpp_decide(*stage, grid))
 
 
 def random_beamforming(channel: Channel, grids, budget: int, params: RadioParams,
@@ -235,20 +241,19 @@ def random_beamforming(channel: Channel, grids, budget: int, params: RadioParams
     """Joint random search: draw `budget` full assignments, keep the best
     measured one.  Ties keep the earliest draw.  The working set is one
     chunk's L compact index buffers plus temporaries of at most _BLOCK
-    entries (see _measured_chunks)."""
+    entries (see _Probe.measured_blocks)."""
     if budget < 1:
         raise ValueError("budget must be positive")
     L, n = dims(channel)
     grids = as_grids(grids, L)
+    probe = _Probe(params, noise_draws, rng, lambda d: effective_batch(channel, grids, d))
     best_power = -1.0
-    for draws, powers in _measured_chunks(grids, n, budget,
-                                          lambda d: effective_batch(channel, grids, d),
-                                          params, noise_draws, rng):
+    for draws, powers in probe.measured_blocks(grids, n, budget):
         top = int(np.argmax(powers))
         if powers[top] > best_power:
             best_power = float(powers[top])
             best_idx = tuple(d[top].copy() for d in draws)
-    return BeamformingResult(PhaseAssignment(grids, best_idx), budget)
+    return BeamformingResult(PhaseAssignment(grids, best_idx), probe.count)
 
 
 def zero_phase_baseline(channel: Channel, grids) -> BeamformingResult:
@@ -273,8 +278,7 @@ def virtual_single_irs(channel: Channel, grids, total_samples: int, params: Radi
     grids = as_grids(grids, L)
     if any(g.num_levels != grids[0].num_levels for g in grids):
         raise ValueError("virtual single-surface baseline needs equal grids")
-    means = _csm_means(L * n, grids[0], total_samples,
-                       lambda idx: effective_batch(channel, grids, np.split(idx, L, axis=1)),
-                       params, noise_draws, rng)
-    decisions = np.split(csm_decide(means), L)
-    return BeamformingResult(PhaseAssignment(grids, tuple(decisions)), total_samples)
+    probe = _Probe(params, noise_draws, rng,
+                   lambda d: effective_batch(channel, grids, np.split(d[0], L, axis=1)))
+    decisions = np.split(csm_decide(_csm_means(L * n, grids[0], total_samples, probe)), L)
+    return BeamformingResult(PhaseAssignment(grids, tuple(decisions)), probe.count)

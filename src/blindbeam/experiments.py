@@ -246,6 +246,18 @@ def _slope_summary(experiment: str, records) -> tuple[list, list]:
     return summary, report
 
 
+# name -> optimizer(channel, grids, samples, params, noise_draws, rng), in the order that tags
+# compare's RNG streams; entries look the optimizer up when called, so module wrappers apply
+METHODS = {
+    "zero": lambda channel, grids, *_: zero_phase_baseline(channel, grids),
+    "random": lambda *args: random_beamforming(*args),
+    "virtual": lambda *args: virtual_single_irs(*args),
+    "csm": lambda *args: sequential_csm(*args),
+    "cpp": lambda channel, grids, *_: sequential_cpp_oracle(channel, grids),
+}
+COMPARE_METHODS = tuple(METHODS)
+
+
 # ---------------------------------------------------------------------------
 # scaling: synthetic condition-satisfying instances swept over N
 
@@ -279,16 +291,9 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
             )
             for method in methods:
                 start = time.perf_counter()
-                if method == "cpp":
-                    res = sequential_cpp_oracle(inst.tensor, grids)
-                    t_used = 0
-                else:
-                    t_used = t_csm[n]
-                    res = sequential_csm(
-                        inst.tensor, grids, t_used, params, noise_draws,
-                        derive_rng(seed, trial, TAG_SAMPLING, n),
-                    )
-                out.append(_record("scaling", seed, trial, method, grids, n, t_used,
+                res = METHODS[method](inst.tensor, grids, t_csm.get(n, 0), params, noise_draws,
+                                      derive_rng(seed, trial, TAG_SAMPLING, n))
+                out.append(_record("scaling", seed, trial, method, grids, n, res.evaluations // L,
                                    *_boost_metric(inst.tensor, res.assignment, params),
                                    wall_s=time.perf_counter() - start))
         return out
@@ -329,9 +334,6 @@ def realize_scenario(scenario: Scenario, seed: int, trial: int,
     return graph, scenario.grids, scenario.params
 
 
-COMPARE_METHODS = ("zero", "random", "virtual", "csm", "cpp")
-
-
 def run_compare(config: ExperimentConfig) -> ExperimentResult:
     """Benchmark the blind scheme against its baselines on shared channels.
 
@@ -345,17 +347,19 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
     scenario = load_scenario(o.scenario or default_scenario_path())
     n = o.elements or scenario.num_elements
     methods, t_rule, noise_draws = o.methods, o.t_rule, o.noise
+    samples = {}
     if "random" in methods or "virtual" in methods:
         budget = scenario.num_surfaces * o.budget_per_surface
         if budget > _MAX_SAMPLES:
             raise ConfigError(f"budget_per_surface {o.budget_per_surface} gives {budget} probes "
                               f"on {scenario.num_surfaces} surfaces, above the cap of "
                               f"{_MAX_SAMPLES:.0e}")
+        samples = dict.fromkeys(("random", "virtual"), budget)
     if "virtual" in methods and len({g.num_levels for g in scenario.grids}) > 1:
         raise ConfigError(f"method virtual needs one level count on every surface, got "
                           f"{_levels_label(scenario.grids)}")
     if "csm" in methods:
-        t_csm = _samples_per_surface(t_rule, n, scenario.grids)
+        samples["csm"] = _samples_per_surface(t_rule, n, scenario.grids)
 
     def one_trial(trial: int) -> list:
         graph, grids, params = realize_scenario(scenario, seed, trial, n)
@@ -363,16 +367,7 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
         for method in methods:
             rng = derive_rng(seed, trial, TAG_SAMPLING, COMPARE_METHODS.index(method))
             start = time.perf_counter()
-            if method == "zero":
-                res = zero_phase_baseline(graph, grids)
-            elif method == "random":
-                res = random_beamforming(graph, grids, budget, params, noise_draws, rng)
-            elif method == "virtual":
-                res = virtual_single_irs(graph, grids, budget, params, noise_draws, rng)
-            elif method == "csm":
-                res = sequential_csm(graph, grids, t_csm, params, noise_draws, rng)
-            else:
-                res = sequential_cpp_oracle(graph, grids)
+            res = METHODS[method](graph, grids, samples.get(method, 0), params, noise_draws, rng)
             out.append(_record("compare", seed, trial, method, grids, n, res.evaluations,
                                *_boost_metric(graph, res.assignment, params),
                                wall_s=time.perf_counter() - start))

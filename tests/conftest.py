@@ -131,7 +131,8 @@ def exact_csm_small(channel, grids) -> BeamformingResult:
     """
     n = dims(channel)[1]
 
-    def decide(grid, c0, c):
+    def decide(grid, stage):
+        c0, c = stage
         k = grid.num_levels
         total = k**n
         if total > MAX_EXACT_CONFIGS:
@@ -142,7 +143,7 @@ def exact_csm_small(channel, grids) -> BeamformingResult:
         idx = (codes[:, None] // (k ** np.arange(n - 1, -1, -1))[None, :]) % k
         groups = _GroupSums(n, k)
         groups.add(idx, received_power(c0 + grid.factor_table()[idx] @ c, UNIT_POWER))
-        return csm_decide(groups.means()), total
+        return csm_decide(groups.means())
 
     return _sequential(channel, grids, decide)
 

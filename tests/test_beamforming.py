@@ -4,6 +4,7 @@ import pytest
 from blindbeam import (
     CascadedChannelTensor,
     EmptyGroupError,
+    LinkChannelGraph,
     PhaseGrid,
     RadioParams,
     as_grids,
@@ -12,6 +13,7 @@ from blindbeam import (
     csm_decide,
     expand_links_to_tensor,
     generate_samples,
+    make_d_instance,
     random_beamforming,
     received_power,
     sequential_cpp_oracle,
@@ -332,3 +334,37 @@ class TestGraphPath:
         b = sequential_cpp_oracle(tensor, 4).assignment
         for ell in range(2):
             assert np.array_equal(a.indices[ell], b.indices[ell])
+
+
+def _rotated(channel, phase: complex):
+    """The channel with every path coefficient multiplied by one unit phase:
+    every tensor entry, or every link that leaves the transmitter."""
+    if isinstance(channel, CascadedChannelTensor):
+        return CascadedChannelTensor(channel.entries * phase)
+    return LinkChannelGraph(tuple(v * phase for v in channel.tx_to_irs), channel.irs_to_rx,
+                            channel.irs_to_irs, channel.tx_to_rx * phase)
+
+
+BLIND_CHANNELS = {
+    "d-instance-L2": lambda rng: (make_d_instance(2, 16, as_grids(4, 2), rng).tensor, 4),
+    "d-instance-L3": lambda rng: (make_d_instance(3, 6, as_grids(6, 3), rng).tensor, 6),
+    "graph": lambda rng: (random_graph(rng, 2, 8), 4),
+}
+
+
+@pytest.mark.parametrize("optimizer", [sequential_csm, random_beamforming, virtual_single_irs])
+@pytest.mark.parametrize("kind", sorted(BLIND_CHANNELS))
+def test_blind_decisions_ignore_a_common_phase(kind, optimizer):
+    # a blind optimizer sees received powers only, and a unit phase common to
+    # every path leaves every noiseless power unchanged, so it cannot move a
+    # decision; a noise draw would, so the test stays noiseless
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        channel, levels = BLIND_CHANNELS[kind](rng)
+        turned = _rotated(channel, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        a = optimizer(channel, levels, 2000, P1, 0, np.random.default_rng(seed + 100))
+        b = optimizer(turned, levels, 2000, P1, 0, np.random.default_rng(seed + 100))
+        assert a.evaluations == b.evaluations > 0
+        for ell, (x, y) in enumerate(zip(a.assignment.indices, b.assignment.indices,
+                                         strict=True)):
+            assert np.array_equal(x, y), (seed, ell)

@@ -342,8 +342,10 @@ def test_blocked_csm_means_match_unblocked_oracle(kind, k, noise_draws, block, m
     # block per chunk) spans several blocks
     assert beamforming._CHUNK % rows and PROBES % rows and PROBES > rows
     got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = beamforming._csm_means(width, grid, PROBES, evaluate, NOISY, noise_draws, got_rng)
+    probe = beamforming._Probe(NOISY, noise_draws, got_rng, lambda d: evaluate(d[0]))
+    got = beamforming._csm_means(width, grid, PROBES, probe)
     want = unblocked_csm_means(width, grid, PROBES, evaluate, NOISY, noise_draws, want_rng)
+    assert probe.count == PROBES
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     assert np.array_equal(csm_decide(got), csm_decide(want))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -357,7 +359,15 @@ def test_blocked_optimizers_decide_as_unblocked_oracle(optimizer, make_channel, 
     channel = make_channel(np.random.default_rng(3), 2, 8)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = optimizer(channel, 4, PROBES, NOISY, noise_draws, got_rng)
-    monkeypatch.setattr(beamforming, "_csm_means", unblocked_csm_means)
+
+    def unblocked(width, grid, total, probe):
+        # the oracle draws and measures by itself, through the probe's evaluator
+        # only, so it adds its probes to the probe's count
+        probe.count += total
+        return unblocked_csm_means(width, grid, total, lambda idx: probe.evaluate([idx]), NOISY,
+                                   noise_draws, want_rng)
+
+    monkeypatch.setattr(beamforming, "_csm_means", unblocked)
     want = optimizer(channel, 4, PROBES, NOISY, noise_draws, want_rng)
     assert got.evaluations == want.evaluations
     for a, b in zip(got.assignment.indices, want.assignment.indices, strict=True):
@@ -400,6 +410,21 @@ def test_blocked_random_search_matches_unblocked_oracle(make_channel, levels, no
     assert got.evaluations == want.evaluations == PROBES
     for a, b in zip(got.assignment.indices, want.assignment.indices, strict=True):
         assert np.array_equal(a, b)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("noise_draws", [0, 2])
+@pytest.mark.parametrize("make_channel", [random_tensor, random_graph])
+def test_single_surface_random_search_matches_unblocked_oracle(make_channel, noise_draws):
+    # a noiseless single-grid sweep is drawn in one-block chunks, which give
+    # the stream of whole _CHUNK chunks; with 64 assignments and PROBES draws
+    # most powers tie, and ties must keep the earliest draw across chunks
+    channel = make_channel(np.random.default_rng(3), 1, 3)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = random_beamforming(channel, 4, PROBES, NOISY, noise_draws, got_rng)
+    want = unblocked_random_beamforming(channel, 4, PROBES, NOISY, noise_draws, want_rng)
+    assert got.evaluations == want.evaluations == PROBES
+    assert np.array_equal(got.assignment.indices[0], want.assignment.indices[0])
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

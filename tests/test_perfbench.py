@@ -3,6 +3,7 @@ traced run wraps blindbeam functions by name."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -52,3 +53,26 @@ def test_layer_functions_exist():
                                        name, None))]
     assert child.LAYER_FUNCTIONS
     assert missing == []
+
+
+def test_traced_compare_counts_every_blind_measurement(tmp_path):
+    # the traced run wraps the optimizers and received_power by module name:
+    # a method table that holds a function object instead of looking it up
+    # escapes the wrapper, and the benchmark's count check then fails
+    result, out = tmp_path / "trace.json", tmp_path / "run.csv"
+    proc = subprocess.run([sys.executable, str(CHILD), str(result), "trace", "--", "compare",
+                           "--trials", "2", "--elements", "16", "--noise", "one_draw",
+                           "--out", str(out)],
+                          cwd=ROOT, env=dict(os.environ, **BENCH.CHILD_ENV),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]
+            if not line.startswith("#")]
+    assert sorted({row[3] for row in rows}) == ["cpp", "csm", "random", "virtual", "zero"]
+    trace = json.loads(result.read_text())["trace"]
+    counts, calls = trace["counts"], trace["calls"]
+    assert counts["channel.received_power.measurements"] == sum(int(row[7]) for row in rows) > 0
+    assert counts["beamforming.sequential_csm.measurements"] == sum(
+        int(row[7]) for row in rows if row[3] == "csm") > 0
+    for name in ("sequential_csm", "random_beamforming", "virtual_single_irs"):
+        assert calls.get(f"beamforming.{name}", 0) > 0, name
