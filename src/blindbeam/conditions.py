@@ -220,6 +220,16 @@ def _require_tensor(channel) -> CascadedChannelTensor:
     return channel
 
 
+def _all_active_rank_one(t: CascadedChannelTensor) -> RankOneCheck:
+    """check_rank_one of the all-active block, run once per tensor: C1, C'1
+    and D1 share it, and the entries are read-only, so it stays on the tensor."""
+    rank = getattr(t, "_rank_one", None)
+    if rank is None:
+        rank = check_rank_one(t.entries[(slice(1, None),) * t.num_surfaces])
+        object.__setattr__(t, "_rank_one", rank)
+    return rank
+
+
 def gamma_min_double(tensor: CascadedChannelTensor):
     """Smallest workable margin angle of a double-surface system.
 
@@ -250,7 +260,7 @@ def check_c_conditions(tensor: CascadedChannelTensor, grids) -> ConditionReport:
         raise ValueError("C conditions apply to exactly two surfaces")
     grids = as_grids(grids, 2)
     k1, k2 = grids[0].num_levels, grids[1].num_levels
-    rank = check_rank_one(t.entries[1:, 1:])
+    rank = _all_active_rank_one(t)
     c2 = k1 >= 3 and k2 >= 3
     gamma_upper = math.pi / 2 - math.pi / k1
     gamma_min, _ratios = gamma_min_double(t)
@@ -284,7 +294,7 @@ def check_cprime(tensor: CascadedChannelTensor, grids, zero_tol: float = 0.0,
     if t.num_surfaces != 2:
         raise ValueError("the zero-leakage conditions apply to exactly two surfaces")
     grids = as_grids(grids, 2)
-    rank = check_rank_one(t.entries[1:, 1:])
+    rank = _all_active_rank_one(t)
     worst_leak = max(
         abs(t.direct),
         float(np.abs(t.entries[1:, 0]).max()),
@@ -404,7 +414,7 @@ def check_d_conditions(tensor: CascadedChannelTensor, grids) -> ConditionReport:
     if L < 2:
         raise ValueError("the multi-surface conditions need at least two surfaces")
     grids = as_grids(grids, L)
-    rank = check_rank_one(t.entries[(slice(1, None),) * L])
+    rank = _all_active_rank_one(t)
     d3, gamma_min, gamma_upper, best_slack = (
         (False, None, None, -math.inf) if rank.factors is None
         else _d3_scan(t, rank.factors, grids, DEFAULT_GAMMA_POINTS))

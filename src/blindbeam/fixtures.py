@@ -32,7 +32,7 @@ class ExampleFixture:
     expected_indices holds the per-surface phase decisions (grid indices)
     that a perfect-knowledge sequential optimizer makes, None where
     build_example does not state them.  boost_exponent is the growth order of
-    the received power in N: 2 for the "bad" variants, 4 for the "good" ones.
+    the received power in N where stated: 2 for "bad", 4 for "good", else None.
     """
 
     example_id: int
@@ -40,7 +40,7 @@ class ExampleFixture:
     tensor: CascadedChannelTensor
     grids: tuple[PhaseGrid, ...]
     expected_indices: Optional[tuple[np.ndarray, np.ndarray]]
-    boost_exponent: int
+    boost_exponent: Optional[int]
     note: str = ""
 
 
@@ -55,9 +55,10 @@ def build_example(example_id: int, variant: str, num_elements: int,
     """Construct one of the numbered double-surface example channels.
 
     num_elements must be odd and >= 3; beta > 0 scales the coefficients.
-    The expected decisions are stated for any beta in example 1 and for
-    beta = 1 only in examples 2 and 3, whose parity-mixed cases shift some
-    rounding boundaries as beta moves (expected_indices is None there).
+    The decisions and growth order are stated for any beta in example 1 and
+    for beta = 1 only in examples 2 and 3, whose rounding boundaries and
+    one-hop share of the power move with beta (expected_indices and
+    boost_exponent are None there).
     """
     if example_id not in EXAMPLE_IDS:
         raise ValueError(f"example_id must be one of {EXAMPLE_IDS}")
@@ -120,11 +121,12 @@ def build_example(example_id: int, variant: str, num_elements: int,
             entries[1:, 1:] = beta
             expected = (idx["zero"], np.full(n, 1, dtype=np.int64))
             note = "constant two-hop rows outweigh the same one-hop leakage"
+    exponent = 2 if variant == "bad" else 4
     if example_id != 1 and beta != 1:
-        expected = None
+        expected = exponent = None
     entries.flags.writeable = False
     return ExampleFixture(example_id, variant, CascadedChannelTensor(entries),
-                          grids, expected, 2 if variant == "bad" else 4, note)
+                          grids, expected, exponent, note)
 
 
 @dataclass(frozen=True)

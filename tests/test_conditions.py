@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindbeam import (
+    ExperimentConfig,
     PhaseAssignment,
     PhaseGrid,
     RankOneFactors,
@@ -22,10 +25,12 @@ from blindbeam import (
     lemma1_verify,
     make_d_instance,
     recover_full_path_factors,
+    run_conditions_probability,
     sequential_cpp_oracle,
     theta_hat_star_all,
     wrap_angle,
 )
+from blindbeam import conditions
 from blindbeam.channel import CascadedChannelTensor
 from blindbeam.conditions import DEFAULT_GAMMA_POINTS, margin_budget, margin_rhs
 from blindbeam.fixtures import check_d_grids, d_instance_a_max
@@ -396,6 +401,97 @@ class TestDConditions:
         t = CascadedChannelTensor(unit_phases(rng, (4,)))
         with pytest.raises(ValueError):
             check_d_conditions(t, (4,))
+
+
+def count_rank_one_calls(monkeypatch) -> list:
+    """Record the block shape of every check_rank_one call from here on."""
+    calls = []
+    original = conditions.check_rank_one
+
+    def counted(block):
+        calls.append(block.shape)
+        return original(block)
+
+    monkeypatch.setattr(conditions, "check_rank_one", counted)
+    return calls
+
+
+def two_surface_entries(kind, rng, n=4):
+    """Entries of a double-surface tensor whose all-active block is rank one,
+    full rank or zero, with leakage on the direct and one-hop paths."""
+    e = 0.3 * unit_phases(rng, (n + 1, n + 1))
+    e[1:, 1:] = {"rank-one": np.outer(unit_phases(rng, n), unit_phases(rng, n)),
+                 "full-rank": unit_phases(rng, (n, n)),
+                 "zero": 0.0}[kind]
+    return e
+
+
+class TestSharedRankOneCheck:
+    """C1, C'1 and D1 read one check_rank_one result per tensor."""
+
+    def test_three_checks_call_check_rank_one_once(self, monkeypatch, rng):
+        t2 = CascadedChannelTensor(two_surface_entries("rank-one", rng))
+        t3 = make_d_instance(3, 3, 6, rng).tensor
+        calls = count_rank_one_calls(monkeypatch)
+        check_c_conditions(t2, 4)
+        check_cprime(t2, 4, continuous=True)
+        check_d_conditions(t2, 4)
+        check_c_conditions(t2, 8)
+        assert calls == [(4, 4)]
+        check_d_conditions(t3, 6)
+        check_d_conditions(t3, 8)
+        assert calls == [(4, 4), (3, 3, 3)]
+
+    @pytest.mark.parametrize("kind", ["rank-one", "full-rank", "zero"])
+    def test_checked_tensor_reports_equal_fresh_ones(self, kind, rng):
+        e = two_surface_entries(kind, rng)
+        checks = [lambda t: check_c_conditions(t, 4),
+                  lambda t: check_cprime(t, 4, zero_tol=0.5, continuous=True),
+                  lambda t: check_d_conditions(t, 4)]
+        for first in range(3):
+            checked = CascadedChannelTensor(e)
+            checks[first](checked)
+            for check in checks:
+                # verdicts, margins (inf included) and notes, field by field
+                assert check(checked) == check(CascadedChannelTensor(e.copy()))
+        assert check_d_conditions(checked, 4).subconditions["d1"] == (kind == "rank-one")
+
+    @pytest.mark.parametrize("surfaces, per_case", [(2, [(4, 4)]), (3, [(4, 4), (4, 4, 4)])])
+    def test_conditions_runner_checks_each_tensor_once(self, monkeypatch, surfaces, per_case):
+        calls = count_rank_one_calls(monkeypatch)
+        run_conditions_probability(ExperimentConfig.merge(None, dict(
+            surfaces=surfaces, elements=4, levels="8", trials=2, eta_sweep="0,0.5")))
+        assert calls == per_case * 4
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(2, 6), levels=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+       log_scale=st.floats(-3.0, 1.0), rank_one=st.booleans(),
+       los=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       seed=st.integers(0, 2**32 - 1))
+def test_c_and_d_verdicts_agree_at_two_surfaces(n, levels, log_scale, rank_one, los, seed):
+    # At L = 2, D2 is C2 and D3 on surface 1 is C3's arcsin rule read on a
+    # grid of DEFAULT_GAMMA_POINTS angles; they may part only when gamma_min
+    # lies within one grid step of the bound.  Random LoS masks zero the
+    # direct, surface 1 -> rx and tx -> surface 2 links.
+    rng = np.random.default_rng(seed)
+    e = np.zeros((n + 1, n + 1), dtype=complex)
+    u, v = (unit_phases(rng, n) * (0.1 + rng.random(n)) for _ in range(2))
+    e[1:, 1:] = np.outer(u, v) if rank_one else unit_phases(rng, (n, n))
+    scale = 10.0 ** log_scale
+    e[0, 0] = scale * unit_phases(rng, ()) * los[0]
+    e[1:, 0] = scale * rng.random(n) * unit_phases(rng, n) * los[1]
+    e[0, 1:] = scale * rng.random(n) * unit_phases(rng, n) * los[2]
+    t = CascadedChannelTensor(e)
+    c, d = check_c_conditions(t, levels), check_d_conditions(t, levels)
+    assert (c.subconditions["c1"], c.subconditions["c2"]) == (d.subconditions["d1"],
+                                                              d.subconditions["d2"])
+    assert c.gamma_upper == pytest.approx(d.gamma_upper, rel=1e-15)
+    step = c.gamma_upper / DEFAULT_GAMMA_POINTS
+    near_bound = c.gamma_min is not None and c.gamma_upper - c.gamma_min <= step
+    assert c.passed == d.passed or near_bound
+    if c.subconditions["c1"] and c.subconditions["c3"] and d.subconditions["d3"]:
+        assert -1e-9 <= d.gamma_min - c.gamma_min < step + 1e-9
 
 
 def brute_force_theta_targets(tensor, decided, ell):

@@ -615,16 +615,19 @@ class TestCli:
             assert err.startswith("output error: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("beta", ["0.5", "0.8", "2"])
+    @pytest.mark.parametrize("beta", ["0.5", "0.8", "2", "1e-3"])
     def test_examples_check_decisions_only_where_stated(self, tmp_path, beta, capsys):
-        # examples 2 and 3 state their decisions at beta = 1 only; at 0.5 and
-        # 0.8 example 2's binary-grid variant decides differently
+        # examples 2 and 3 state their decisions and growth order at beta = 1
+        # only; at 0.5 and 0.8 example 2's binary-grid variant decides
+        # differently, and at 1e-3 its one-hop terms dominate at N = 9..19
         assert main(["examples", "--beta", beta, "--out", str(tmp_path / "r.csv")]) == 0
         report = capsys.readouterr().out.splitlines()
         assert "decisions: all as documented" in report
-        assert ("decisions: not checked for example2_bad example2_good example3_bad "
-                "example3_good (stated at beta=1 only)") in report
+        assert ("decisions and growth: not checked for example2_bad example2_good "
+                "example3_bad example3_good (stated at beta=1 only)") in report
         assert not any("FAIL" in line for line in report)
+        assert [line.split(" ")[0] for line in report if "->" in line] == [
+            "example1_bad", "example1_good"]
 
     def test_examples_beta_one_csv_is_unchanged(self, tmp_path, capsys):
         default, one = tmp_path / "default.csv", tmp_path / "one.csv"
