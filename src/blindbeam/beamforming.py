@@ -155,22 +155,27 @@ class _Probe:
         blocks of at most _BLOCK index entries.
 
         Probes are drawn and measured a chunk at a time: each grid's (rows,
-        width) indices in turn, into one compact buffer per grid (uint8 when
-        K <= 256), then one measure() call, which draws the chunk's noise.  A
-        chunk holds _CHUNK probes when noise or another grid's draw follows
-        its indices, and one block otherwise.  The draw runs in row blocks; a
-        row-split draw returns the same indices as one draw, so the RNG stream
-        is that of drawing each chunk whole.
+        width) indices in turn, then one measure() call, which draws the
+        chunk's noise.  A chunk holds _CHUNK probes when noise or another
+        grid's draw follows its indices, and one block otherwise.  A chunk of
+        one block yields the drawn int64 arrays themselves; only a chunk that
+        spans several blocks is compacted, drawn in row blocks into one buffer
+        per grid (uint8 when K <= 256).  A row-split draw returns the same
+        indices as one draw, so the RNG stream is that of drawing each chunk
+        whole.
         """
         step = max(1, _BLOCK // (len(grids) * width))
         chunk = _CHUNK if self._noise_draws or len(grids) > 1 else step
         for start in range(0, total, chunk):
             rows = min(chunk, total - start)
-            draws = [np.empty((rows, width), dtype=np.uint8 if g.num_levels <= 256 else np.int64)
-                     for g in grids]
-            for d, g in zip(draws, grids):
-                for b in range(0, rows, step):
-                    d[b:b + step] = generate_samples(width, g, len(d[b:b + step]), self._rng)
+            if rows <= step:
+                draws = [generate_samples(width, g, rows, self._rng) for g in grids]
+            else:
+                draws = [np.empty((rows, width), np.uint8 if g.num_levels <= 256 else np.int64)
+                         for g in grids]
+                for d, g in zip(draws, grids):
+                    for b in range(0, rows, step):
+                        d[b:b + step] = generate_samples(width, g, len(d[b:b + step]), self._rng)
             powers = self.measure(draws)
             for b in range(0, rows, step):
                 yield [d[b:b + step] for d in draws], powers[b:b + step]
@@ -216,9 +221,9 @@ def sequential_csm(channel: Channel, grids, samples_per_surface: int,
     samples_per_surface probes uniformly, measures received power with
     noise_draws noisy draws each, and keeps the per-element argmax of the
     conditional means.  Exactly L * samples_per_surface power measurements
-    are taken and never materialized whole: the working set is one compact
-    index buffer per chunk (_CHUNK probes when noisy, one block when
-    noiseless) plus temporaries of at most _BLOCK entries (see _Probe).
+    are taken and never materialized whole: the working set is one chunk of
+    indices (_CHUNK probes in a compact buffer when noisy, one drawn block
+    when noiseless) plus temporaries of at most _BLOCK entries (see _Probe).
     """
     n = dims(channel)[1]
     return _sequential(channel, grids, lambda grid, probe: csm_decide(

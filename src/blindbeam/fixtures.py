@@ -152,13 +152,19 @@ class DInstance:
 _SINGLE_SURFACE_CAP = 1.0
 
 
-def _unit_phases(rng, shape) -> np.ndarray:
-    """np.exp(2j * pi * rng.random(shape)), bit for bit and RNG stream alike,
-    built in place from _BLOCK uniforms at a time: no full-size temporary."""
+def _phase_angles(rng, shape) -> np.ndarray:
+    """2j * pi * rng.random(shape), bit for bit and RNG stream alike, built in
+    place from _BLOCK uniforms at a time: no full-size temporary."""
     z = np.empty(shape, dtype=np.complex128)
     flat = z.reshape(-1)
     for b in range(0, flat.size, _BLOCK):
         np.multiply(2j * math.pi, rng.random(len(flat[b:b + _BLOCK])), out=flat[b:b + _BLOCK])
+    return z
+
+
+def _unit_phases(rng, shape) -> np.ndarray:
+    """np.exp(2j * pi * rng.random(shape)), exponentiated in place."""
+    z = _phase_angles(rng, shape)
     return np.exp(z, out=z)
 
 
@@ -233,7 +239,7 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
     if not (0.0 < margin <= 1.0):
         raise ValueError("margin must lie in (0, 1]")
     factors = _draw_factors(L, n, rng)
-    entries = _unit_phases(rng, (n + 1,) * L)
+    entries = _phase_angles(rng, (n + 1,) * L)
     a_max = max_leakage_scale(L, n, grids, factors)
     if a_scale is None:
         a = margin * a_max
@@ -246,9 +252,12 @@ def make_d_instance(num_surfaces: int, num_elements: int, grids, rng,
                 f"a_scale {a:g} exceeds the largest feasible leakage scale "
                 f"{a_max:g} for this draw"
             )
-    # in place: skip paths by first skipped surface i, then outer_product()
+    # in place: skip paths by first skipped surface i (exponentiated here, as
+    # the all-active block's angles are overwritten), then outer_product()
     for i in range(L):
-        entries[(slice(1, None),) * i + (0,)] *= a
+        skip = entries[(slice(1, None),) * i + (slice(0, 1),)]
+        np.exp(skip, out=skip)
+        skip *= a
     active = entries[(slice(1, None),) * L]
     active[...] = factors.vectors[0].reshape((n,) + (1,) * (L - 1))
     for i in range(1, L):

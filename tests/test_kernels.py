@@ -1,10 +1,11 @@
 """Property tests for the array kernels against per-entry reference oracles:
 tensor expansion, the link-graph stage coefficients, the dense contraction,
 CSM grouping, the CSM decision on exact means, the phase lookup table, the
-leakage sums, the D3 margin thresholds, the blocked probe loops and the
-in-place phase fill."""
+leakage sums, the D3 margin thresholds, the blocked probe loops, the
+in-place phase fill and the D-instance build."""
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from blindbeam.channel import _BLOCK, contract, effective_batch
 from blindbeam.beamforming import _GroupSums
 from blindbeam.conditions import RankOneFactors, _d3_scan, _leakage_sums, leakage_abs_sum
 from blindbeam.experiments import default_scenario_path, realize_scenario
-from blindbeam.fixtures import _unit_phases
+from blindbeam.fixtures import _unit_phases, max_leakage_scale
 from blindbeam.scenario import load_scenario
 from conftest import (UNIT_POWER, IndexSetSpec, brute_force_gain, d3_scan_oracle,
                       expand_links_oracle, random_graph, random_tensor, unblocked_csm_means,
@@ -375,6 +376,51 @@ def test_blocked_optimizers_decide_as_unblocked_oracle(optimizer, make_channel, 
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _record_draws(monkeypatch):
+    drawn, draw = [], beamforming.generate_samples
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+    monkeypatch.setattr(beamforming, "generate_samples", recording)
+    return drawn
+
+
+def _flat_power(blocks):
+    return np.ones(len(blocks[0]), dtype=complex)
+
+
+def test_noiseless_single_grid_blocks_are_the_drawn_arrays(monkeypatch):
+    # a one-block chunk is measured and binned as drawn: int64, no compact copy
+    drawn = _record_draws(monkeypatch)
+    probe = beamforming._Probe(NOISY, 0, np.random.default_rng(0), _flat_power)
+    blocks = [idx for (idx,), _ in probe.measured_blocks((PhaseGrid(4),), 6, PROBES)]
+    assert len(blocks) == len(drawn) > 1
+    for idx, d in zip(blocks, drawn, strict=True):
+        assert idx.dtype == np.int64 and idx.shape == d.shape and np.shares_memory(idx, d)
+
+
+@pytest.mark.parametrize("noise_draws, levels", [(2, [4]), (0, [4, 4])],
+                         ids=["noisy", "multi-grid"])
+def test_chunks_of_several_blocks_are_views_of_one_compact_buffer(noise_draws, levels,
+                                                                  monkeypatch):
+    drawn = _record_draws(monkeypatch)
+    grids, width = as_grids(levels, len(levels)), 6
+    step = beamforming._BLOCK // (len(grids) * width)
+    probe = beamforming._Probe(NOISY, noise_draws, np.random.default_rng(0), _flat_power)
+    blocks = [draws for draws, _ in probe.measured_blocks(grids, width, PROBES)]
+    first = -(-beamforming._CHUNK // step)  # blocks of the first, whole chunk
+    assert len(blocks) == first + 1  # the last PROBES - _CHUNK probes fit one block
+    for j in range(len(grids)):
+        buffer = blocks[0][j].base
+        assert buffer.dtype == np.uint8 and buffer.shape == (beamforming._CHUNK, width)
+        assert all(b[j].base is buffer for b in blocks[:first])
+        assert not any(np.shares_memory(buffer, d) for d in drawn)
+        # a one-block chunk yields its drawn array
+        assert blocks[-1][j].dtype == np.int64
+        assert any(np.shares_memory(blocks[-1][j], d) for d in drawn)
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -480,4 +526,26 @@ def test_unit_phases_match_one_draw(shape):
     want = np.exp(2j * np.pi * want_rng.random(shape))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("L, n, k", [(1, 7, 4), (2, 9, 4), (3, 5, 8), (2, 300, 4), (3, 40, 8)],
+                         ids=["L1", "L2", "L3", "L2-two-blocks", "L3-two-blocks"])
+def test_d_instance_matches_full_exponential_oracle(L, n, k):
+    # reference build: exponentiate every drawn angle, scale the skip entries,
+    # then overwrite the all-active block with the factors' outer product
+    got_rng, want_rng = np.random.default_rng(L * n), np.random.default_rng(L * n)
+    got = make_d_instance(L, n, k, got_rng)
+    grids = as_grids(k, L)
+    factors = RankOneFactors.from_raw([np.exp(2j * np.pi * want_rng.random(n))
+                                       for _ in range(L)])
+    want = np.exp(2j * np.pi * want_rng.random((n + 1,) * L))
+    a = 0.5 * max_leakage_scale(L, n, grids, factors)
+    for i in range(L):
+        want[(slice(1, None),) * i + (0,)] *= a
+    want[(slice(1, None),) * L] = reduce(np.multiply.outer, factors.vectors)
+    assert got.a_scale == a
+    for v, w in zip(got.factors.vectors, factors.vectors, strict=True):
+        assert v.tobytes() == w.tobytes()
+    assert got.tensor.entries.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
